@@ -24,8 +24,6 @@
 //	                  to survive reboots)
 //	-batch-workers N  max concurrent batch jobs (default workers/2, min 1)
 //	-result-ttl D     batch-result retention after completion (default 15m)
-//	-optimize-workers N  max concurrent /v1/optimize searches (default 1)
-//	-optimize-limit N    max queued /v1/optimize jobs (default 32)
 //	-fast-tier        answer /v1/map from the analytical estimator (tier
 //	                  "estimate", microseconds) and verify each plan with
 //	                  a background simulation that upgrades the cached
@@ -53,12 +51,16 @@
 //	-log-json         emit structured logs as JSON instead of text
 //
 // Endpoints: POST /v1/map, POST /v1/estimate, POST /v1/simulate, POST /v1/batch,
-// GET /v1/batch/{id}, GET|DELETE /v1/jobs/{id}, POST|GET /v1/sessions,
-// GET|DELETE /v1/sessions/{id} (+ /telemetry, /plan), GET /v1/stats,
-// GET /healthz, GET /readyz (see API.md). The process drains in-flight
-// requests, then drains or persists queued batch jobs, and exits
-// cleanly on SIGINT/SIGTERM; on restart with the same -journal-dir it
-// replays the journal and resumes unfinished jobs.
+// GET /v1/batch/{id}, POST /v1/optimize, GET /v1/jobs,
+// GET|DELETE /v1/jobs/{id}, POST|GET /v1/sessions,
+// GET|DELETE /v1/sessions/{id} (+ /telemetry, /plan),
+// GET|PUT|DELETE /v1/cluster/plan/{fingerprint} (peer cache traffic),
+// GET /v1/stats, GET /healthz, GET /readyz (see API.md). /v1/optimize
+// searches run as batch jobs, so -batch-workers also bounds how many
+// run at once. The process drains in-flight requests, then drains or
+// persists queued batch jobs, and exits cleanly on SIGINT/SIGTERM; on
+// restart with the same -journal-dir it replays the journal and
+// resumes unfinished jobs.
 //
 // -pprof and -metrics expose the Go profiling endpoints and the
 // Prometheus exposition on separate listeners so production traffic
@@ -115,8 +117,6 @@ func run() error {
 		"batch-job journal directory")
 	batchWorkers := flag.Int("batch-workers", 0, "max concurrent batch jobs (0 = workers/2)")
 	resultTTL := flag.Duration("result-ttl", 15*time.Minute, "batch-result retention after completion")
-	optWorkers := flag.Int("optimize-workers", 1, "max concurrent /v1/optimize searches")
-	optLimit := flag.Int("optimize-limit", 32, "max queued /v1/optimize jobs")
 	fastTier := flag.Bool("fast-tier", false,
 		"answer /v1/map from the analytical estimator and verify in the background")
 	alphaTol := flag.Float64("alpha-tol", 0.1,
@@ -175,8 +175,6 @@ func run() error {
 		JournalDir:       *journalDir,
 		BatchWorkers:     *batchWorkers,
 		ResultTTL:        *resultTTL,
-		OptimizeWorkers:  *optWorkers,
-		OptimizeLimit:    *optLimit,
 		FastTier:         *fastTier,
 		AlphaTolerance:   *alphaTol,
 		LatencyTolerance: *latencyTol,

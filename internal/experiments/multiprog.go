@@ -18,20 +18,6 @@ import (
 // irregular codes, one stencil code and one butterfly code.
 func DefaultMix() []string { return []string{"moldyn", "swim", "hpccg", "fft"} }
 
-// stridedCores partitions the mesh into four interleaved 9-core sets:
-// application i owns cores {i, i+4, i+8, ...}. Every partition spans all
-// regions of the chip — how a scheduler typically spreads the threads of
-// co-running applications — which leaves the location-aware mapper room
-// to place each application's iteration sets near their data within its
-// own cores.
-func stridedCores(mesh *topology.Mesh) [4][]topology.NodeID {
-	var out [4][]topology.NodeID
-	for n := topology.NodeID(0); n < topology.NodeID(mesh.NumNodes()); n++ {
-		out[int(n)%4] = append(out[int(n)%4], n)
-	}
-	return out
-}
-
 // subsetDefault deals a nest's sets round-robin over an application's own
 // cores — the default mapping restricted to its partition.
 func subsetDefault(mesh *topology.Mesh, numSets int, cores []topology.NodeID) *core.Assignment {
@@ -113,7 +99,12 @@ func MultiProg(o Options) *stats.Table {
 		cfg := sim.DefaultConfig()
 		cfg.LLCOrg = org
 		mesh := cfg.Mesh
-		quads := stridedCores(mesh)
+		// Application i owns cores {i, i+4, i+8, ...}: every partition
+		// spans all regions of the chip, as a scheduler typically
+		// spreads co-running applications' threads, which leaves the
+		// mapper room to place each application's iteration sets near
+		// their data within its own cores.
+		quads := tenancy.StridedPartition(mesh, 4)
 		shared := org == cache.SharedSNUCA
 
 		// Build the tasks with disjoint address spaces.

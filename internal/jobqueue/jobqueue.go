@@ -29,13 +29,11 @@
 // jobs), which is non-durable, separately bounded, and only runs when
 // no batch job is waiting.
 //
-// Orthogonal to priority, a job may be *detached* (Spec.Detached,
-// submitted via Submit): durable like batch work but executed by a
-// dedicated, separately-bounded worker set. Detached execution exists
-// for orchestrator jobs — locmapd's /v1/optimize searches — that
-// themselves submit child jobs into the pool and wait on them: running
-// them on pool workers could deadlock the pool against its own
-// children, so they never occupy a pool slot.
+// An executor may orchestrate: submit child jobs and wait for them
+// with Await, which runs any child still waiting in a pending FIFO on
+// the caller's own goroutine. An orchestrator holding the only pool
+// worker therefore never deadlocks against its children (locmapd's
+// /v1/optimize searches verify their survivors this way).
 //
 // The package knows nothing about HTTP or the mapping pipeline: the
 // owner supplies an Exec callback (locmapd routes it through the
@@ -133,24 +131,6 @@ const (
 	numPriorities
 )
 
-// Pending-queue indices. The first two coincide with the Priority
-// values; detached jobs wait in their own FIFO drained only by the
-// detached worker set.
-const (
-	qBatch      = int(PriorityBatch)
-	qBackground = int(PriorityBackground)
-	qDetached   = int(numPriorities)
-	numQueues   = qDetached + 1
-)
-
-// queueIndex returns the pending FIFO a queued job waits in.
-func queueIndex(j *Job) int {
-	if j.Detached {
-		return qDetached
-	}
-	return int(j.Priority)
-}
-
 // Spec is what a client submits for one job.
 type Spec struct {
 	// Kind names the result type ("map" or "simulate" in locmapd).
@@ -164,11 +144,6 @@ type Spec struct {
 	// Priority selects the scheduling class. SubmitBatch forces
 	// PriorityBatch; SubmitBackground forces PriorityBackground.
 	Priority Priority `json:"priority,omitempty"`
-
-	// Detached routes the job to the dedicated detached worker set
-	// instead of the pool (see the package comment). Only honored by
-	// Submit; detached jobs are durable and journaled like batch work.
-	Detached bool `json:"detached,omitempty"`
 
 	// Request is the opaque request body the executor will decode.
 	Request json.RawMessage `json:"request,omitempty"`
@@ -282,14 +257,6 @@ type Config struct {
 	// best-effort and drop it.
 	BackgroundLimit int
 
-	// DetachedWorkers bounds concurrently executing detached jobs
-	// (default 1). Detached workers are additional goroutines on top
-	// of Workers; they only drain the detached FIFO.
-	DetachedWorkers int
-
-	// DetachedLimit bounds queued detached jobs (default 32).
-	DetachedLimit int
-
 	// CompactBytes triggers journal compaction once the live journal
 	// file exceeds this size (default 4MiB).
 	CompactBytes int64
@@ -327,9 +294,9 @@ type Queue struct {
 	cond    *sync.Cond
 	jobs    map[string]*Job
 	batches map[string]*Batch
-	pending [numQueues][]string // FIFO of queued job ids per queue
-	byFP    map[string]string   // fingerprint -> id of a done job holding a result
-	running map[string]string   // fingerprint -> id of the running leader
+	pending [numPriorities][]string // FIFO of queued job ids per priority
+	byFP    map[string]string       // fingerprint -> id of a done job holding a result
+	running map[string]string       // fingerprint -> id of the running leader
 	waiters map[string][]string
 	seq     int64    // monotone submission sequence (List cursor space)
 	jrn     *journal // nil when Dir == ""
@@ -385,12 +352,6 @@ func Open(cfg Config) (*Queue, error) {
 	if cfg.BackgroundLimit <= 0 {
 		cfg.BackgroundLimit = cfg.QueueLimit
 	}
-	if cfg.DetachedWorkers <= 0 {
-		cfg.DetachedWorkers = 1
-	}
-	if cfg.DetachedLimit <= 0 {
-		cfg.DetachedLimit = 32
-	}
 	if cfg.CompactBytes <= 0 {
 		cfg.CompactBytes = 4 << 20
 	}
@@ -432,11 +393,7 @@ func Open(cfg Config) (*Queue, error) {
 	q.register(cfg.Registry)
 	for i := 0; i < cfg.Workers; i++ {
 		q.wg.Add(1)
-		go q.worker([]int{qBatch, qBackground})
-	}
-	for i := 0; i < cfg.DetachedWorkers; i++ {
-		q.wg.Add(1)
-		go q.worker([]int{qDetached})
+		go q.worker()
 	}
 	q.wg.Add(1)
 	go q.sweeper()
@@ -461,8 +418,7 @@ func (q *Queue) replay(jrn *journal) error {
 			for _, jr := range rec.Jobs {
 				j := *jr
 				// Only batch jobs are journaled; anything replayed is
-				// batch priority by construction. Detached survives on
-				// the spec, routing the job back to its worker set.
+				// batch priority by construction.
 				j.Priority = PriorityBatch
 				q.seq++
 				j.Seq = q.seq
@@ -473,8 +429,7 @@ func (q *Queue) replay(jrn *journal) error {
 					j.State = StateQueued
 					j.StartedAt = time.Time{}
 					j.Progress = nil
-					qi := queueIndex(&j)
-					q.pending[qi] = append(q.pending[qi], j.ID)
+					q.pending[PriorityBatch] = append(q.pending[PriorityBatch], j.ID)
 					q.transitions[StateQueued]++
 				case StateDone:
 					q.byFP[j.Fingerprint] = j.ID
@@ -525,16 +480,18 @@ func (q *Queue) replay(jrn *journal) error {
 	})
 }
 
-// unqueue removes id from its pending FIFO if present.
-func (q *Queue) unqueue(id string) {
+// unqueue removes id from its pending FIFO, reporting whether it was
+// there.
+func (q *Queue) unqueue(id string) bool {
 	for pr := range q.pending {
 		for i, p := range q.pending[pr] {
 			if p == id {
 				q.pending[pr] = append(q.pending[pr][:i], q.pending[pr][i+1:]...)
-				return
+				return true
 			}
 		}
 	}
+	return false
 }
 
 // dropJob removes a job (and its batch, once all members are gone)
@@ -577,11 +534,7 @@ func (q *Queue) register(reg *metrics.Registry) {
 	reg.GaugeFunc("locmapd_jobqueue_depth",
 		"Jobs queued and waiting for a worker, by scheduling class.",
 		metrics.Labels{"priority": "background"},
-		locked(func() float64 { return float64(len(q.pending[qBackground])) }))
-	reg.GaugeFunc("locmapd_jobqueue_depth",
-		"Jobs queued and waiting for a worker, by scheduling class.",
-		metrics.Labels{"priority": "detached"},
-		locked(func() float64 { return float64(len(q.pending[qDetached])) }))
+		locked(func() float64 { return float64(len(q.pending[PriorityBackground])) }))
 	for _, st := range States {
 		st := st
 		reg.CounterFunc("locmapd_jobqueue_transitions_total",
@@ -638,18 +591,8 @@ func (q *Queue) Depth() int {
 func (q *Queue) BackgroundDepth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.pending[qBackground])
+	return len(q.pending[PriorityBackground])
 }
-
-// DetachedDepth reports the queued detached backlog.
-func (q *Queue) DetachedDepth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending[qDetached])
-}
-
-// DetachedLimit reports the configured detached queue bound.
-func (q *Queue) DetachedLimit() int { return q.cfg.DetachedLimit }
 
 // QueueLimit reports the configured batch queue bound.
 func (q *Queue) QueueLimit() int { return q.cfg.QueueLimit }
@@ -705,7 +648,6 @@ func (q *Queue) SubmitBatch(requestID string, specs []Spec) (Batch, []Job, error
 	jobs := make([]*Job, 0, len(specs))
 	for _, sp := range specs {
 		sp.Priority = PriorityBatch
-		sp.Detached = false
 		j := &Job{
 			Spec:            sp,
 			ID:              newID(),
@@ -727,7 +669,7 @@ func (q *Queue) SubmitBatch(requestID string, specs []Spec) (Batch, []Job, error
 		q.seq++
 		j.Seq = q.seq
 		q.jobs[j.ID] = j
-		q.pending[qBatch] = append(q.pending[qBatch], j.ID)
+		q.pending[PriorityBatch] = append(q.pending[PriorityBatch], j.ID)
 		q.transitions[StateQueued]++
 	}
 	q.cond.Broadcast()
@@ -759,7 +701,6 @@ func (q *Queue) waiterCount(pr Priority) int {
 // existing job's snapshot is returned and nothing new is enqueued.
 func (q *Queue) SubmitBackground(requestID string, sp Spec) (Job, error) {
 	sp.Priority = PriorityBackground
-	sp.Detached = false
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closing {
@@ -794,19 +735,17 @@ func (q *Queue) SubmitBackground(requestID string, sp Spec) (Job, error) {
 	q.seq++
 	j.Seq = q.seq
 	q.jobs[j.ID] = j
-	q.pending[qBackground] = append(q.pending[qBackground], j.ID)
+	q.pending[PriorityBackground] = append(q.pending[PriorityBackground], j.ID)
 	q.transitions[StateQueued]++
 	q.cond.Broadcast()
 	return *j, nil
 }
 
-// Submit atomically accepts one durable job (journaled as a batch of
-// one). It is the submission path for detached orchestrator work
-// (sp.Detached) but accepts pool jobs too. Like SubmitBackground,
-// submissions coalesce against an existing job with the same
-// fingerprint — done, running or queued — so re-submitting an
-// identical optimize request returns the existing job instead of
-// re-running the search.
+// Submit atomically accepts one durable batch-priority job (journaled
+// as a batch of one). Like SubmitBackground, submissions coalesce
+// against an existing job with the same fingerprint — done, running
+// or queued — so re-submitting an identical optimize request returns
+// the existing job instead of re-running the search.
 func (q *Queue) Submit(requestID string, sp Spec) (Job, error) {
 	sp.Priority = PriorityBatch
 	q.mu.Lock()
@@ -824,22 +763,14 @@ func (q *Queue) Submit(requestID string, sp Spec) (Job, error) {
 			return *lead, nil
 		}
 	}
-	qi := queueIndex(&Job{Spec: sp})
-	for _, id := range q.pending[qi] {
+	for _, id := range q.pending[PriorityBatch] {
 		if j, ok := q.jobs[id]; ok && j.State == StateQueued && j.Fingerprint == sp.Fingerprint {
 			return *j, nil
 		}
 	}
-	if sp.Detached {
-		if len(q.pending[qDetached]) >= q.cfg.DetachedLimit {
-			return Job{}, fmt.Errorf("%w: %d detached queued of %d", ErrQueueFull,
-				len(q.pending[qDetached]), q.cfg.DetachedLimit)
-		}
-	} else {
-		depth := len(q.pending[qBatch]) + q.waiterCount(PriorityBatch)
-		if depth+1 > q.cfg.QueueLimit {
-			return Job{}, fmt.Errorf("%w: %d queued of %d", ErrQueueFull, depth, q.cfg.QueueLimit)
-		}
+	depth := len(q.pending[PriorityBatch]) + q.waiterCount(PriorityBatch)
+	if depth+1 > q.cfg.QueueLimit {
+		return Job{}, fmt.Errorf("%w: %d queued of %d", ErrQueueFull, depth, q.cfg.QueueLimit)
 	}
 	now := q.now()
 	b := &Batch{
@@ -865,7 +796,7 @@ func (q *Queue) Submit(requestID string, sp Spec) (Job, error) {
 	q.seq++
 	j.Seq = q.seq
 	q.jobs[j.ID] = j
-	q.pending[qi] = append(q.pending[qi], j.ID)
+	q.pending[PriorityBatch] = append(q.pending[PriorityBatch], j.ID)
 	q.transitions[StateQueued]++
 	q.cond.Broadcast()
 	q.maybeCompactLocked()
@@ -1035,99 +966,172 @@ func (q *Queue) transitionLocked(j *Job, st State, result []byte, cached bool, e
 		j.Progress = nil
 	}
 	q.transitions[st]++
+	if st.Terminal() {
+		q.cond.Broadcast() // wake Await callers
+	}
 	q.maybeCompactLocked()
 	return nil
 }
 
-// worker is one executor goroutine: claim the oldest queued job from
-// the first non-empty FIFO in queues (pool workers scan batch then
-// background; detached workers scan only the detached FIFO), dedup
-// against finished and in-flight fingerprints, execute, complete.
-func (q *Queue) worker(queues []int) {
+// worker is one pool goroutine: claim the oldest queued job, batch
+// FIFO before background, and run it.
+func (q *Queue) worker() {
 	defer q.wg.Done()
 	for {
 		q.mu.Lock()
-		for q.claimable(queues) < 0 && !q.closing {
+		pr := q.claimable()
+		for pr < 0 && !q.closing {
 			q.cond.Wait()
+			pr = q.claimable()
 		}
 		if q.closing {
 			q.mu.Unlock()
 			return
 		}
-		qi := q.claimable(queues)
-		id := q.pending[qi][0]
-		q.pending[qi] = q.pending[qi][1:]
-		j, ok := q.jobs[id]
-		if !ok || j.State != StateQueued {
-			q.mu.Unlock() // cancelled or expired while queued
-			continue
-		}
-		// Served from a finished twin?
-		if doneID, ok := q.byFP[j.Fingerprint]; ok {
-			if done, live := q.jobs[doneID]; live && done.State == StateDone {
-				q.completeDedupLocked(j, done.Result)
-				q.mu.Unlock()
-				continue
-			}
-		}
-		// Single-flight: park behind a running twin.
-		if leader, ok := q.running[j.Fingerprint]; ok {
-			q.waiters[leader] = append(q.waiters[leader], j.ID)
-			q.mu.Unlock()
-			continue
-		}
-		if err := q.transitionLocked(j, StateRunning, nil, false, ""); err != nil {
-			q.failJournalLocked(j, err)
-			q.mu.Unlock()
-			continue
-		}
-		q.running[j.Fingerprint] = j.ID
-		jc := *j // executor gets a copy; queue state stays ours
-		q.mu.Unlock()
-
-		payload, cached, err := q.cfg.Exec(q.runCtx, &jc)
-
-		q.mu.Lock()
-		delete(q.running, j.Fingerprint)
-		ws := q.waiters[j.ID]
-		delete(q.waiters, j.ID)
-		if err != nil && q.closing && q.runCtx.Err() != nil {
-			// Shutdown interrupted the run. Leave the journal at
-			// "running": replay re-queues it for the next process.
-			q.requeueLocked(ws)
-			q.mu.Unlock()
-			continue
-		}
-		if err != nil {
-			if terr := q.transitionLocked(j, StateFailed, nil, false, err.Error()); terr != nil {
-				q.failJournalLocked(j, terr)
-			}
-			// Waiters were parked on this execution, not on the
-			// failure: give each its own run.
-			q.requeueLocked(ws)
-		} else {
-			if terr := q.transitionLocked(j, StateDone, payload, cached, ""); terr != nil {
-				q.failJournalLocked(j, terr)
-			}
-			for _, wid := range ws {
-				if w, live := q.jobs[wid]; live && w.State == StateQueued {
-					q.completeDedupLocked(w, j.Result)
-				}
-			}
-		}
+		id := q.pending[pr][0]
+		q.pending[pr] = q.pending[pr][1:]
+		q.runLocked(id)
 		q.mu.Unlock()
 	}
 }
 
-// claimable returns the first queue in queues with a waiting job, or
-// -1. Caller holds mu.
-func (q *Queue) claimable(queues []int) int {
-	for _, qi := range queues {
-		if len(q.pending[qi]) > 0 {
-			return qi
+// claimable returns the first priority with a waiting job, or -1.
+// Caller holds mu.
+func (q *Queue) claimable() int {
+	for pr := range q.pending {
+		if len(q.pending[pr]) > 0 {
+			return pr
 		}
 	}
 	return -1
+}
+
+// runLocked takes one job just removed from its pending FIFO through
+// the lifecycle every claimant shares: a finished twin answers it, a
+// running twin parks it, and otherwise it executes and its parked
+// waiters share the outcome. Caller holds mu; it is released while
+// Exec runs.
+func (q *Queue) runLocked(id string) {
+	j, ok := q.jobs[id]
+	if !ok || j.State != StateQueued {
+		return // cancelled or expired while queued
+	}
+	// Served from a finished twin?
+	if doneID, ok := q.byFP[j.Fingerprint]; ok {
+		if done, live := q.jobs[doneID]; live && done.State == StateDone {
+			q.completeDedupLocked(j, done.Result)
+			return
+		}
+	}
+	// Single-flight: park behind a running twin.
+	if leader, ok := q.running[j.Fingerprint]; ok {
+		q.waiters[leader] = append(q.waiters[leader], j.ID)
+		return
+	}
+	if err := q.transitionLocked(j, StateRunning, nil, false, ""); err != nil {
+		q.failJournalLocked(j, err)
+		return
+	}
+	q.running[j.Fingerprint] = j.ID
+	jc := *j // executor gets a copy; queue state stays ours
+	q.mu.Unlock()
+
+	payload, cached, err := q.cfg.Exec(q.runCtx, &jc)
+
+	q.mu.Lock()
+	delete(q.running, j.Fingerprint)
+	ws := q.waiters[j.ID]
+	delete(q.waiters, j.ID)
+	if err != nil && q.closing && q.runCtx.Err() != nil {
+		// Shutdown interrupted the run. Leave the journal at
+		// "running": replay re-queues it for the next process.
+		q.requeueLocked(ws)
+		return
+	}
+	if err != nil {
+		if terr := q.transitionLocked(j, StateFailed, nil, false, err.Error()); terr != nil {
+			q.failJournalLocked(j, terr)
+		}
+		// Waiters were parked on this execution, not on the
+		// failure: give each its own run.
+		q.requeueLocked(ws)
+		return
+	}
+	if terr := q.transitionLocked(j, StateDone, payload, cached, ""); terr != nil {
+		q.failJournalLocked(j, terr)
+	}
+	for _, wid := range ws {
+		if w, live := q.jobs[wid]; live && w.State == StateQueued {
+			q.completeDedupLocked(w, j.Result)
+		}
+	}
+}
+
+// Await blocks until every job in ids is terminal and returns their
+// final snapshots in ids order; a job already expired out of
+// retention is reported as a StateExpired stub. While it waits, Await
+// claims any listed job still in a pending FIFO and runs it on the
+// caller's goroutine, so an executor can wait for the children it
+// submitted even when it holds the only pool worker. A listed job
+// parked behind a running twin is waited for, not claimed, and once
+// Close has begun Await claims nothing. onDone (optional) is called
+// without the queue lock each time the count of terminal jobs grows.
+// Await returns ctx's error if ctx ends first.
+func (q *Queue) Await(ctx context.Context, ids []string, onDone func(done int)) ([]Job, error) {
+	stop := context.AfterFunc(ctx, func() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		q.cond.Broadcast()
+	})
+	defer stop()
+	q.mu.Lock()
+	reported := 0
+	for {
+		done := 0
+		for _, id := range ids {
+			if j, ok := q.jobs[id]; !ok || j.State.Terminal() {
+				done++
+			}
+		}
+		if done > reported && onDone != nil {
+			reported = done
+			q.mu.Unlock()
+			onDone(done)
+			q.mu.Lock()
+			continue
+		}
+		if done == len(ids) {
+			out := make([]Job, len(ids))
+			for i, id := range ids {
+				out[i] = Job{ID: id, State: StateExpired}
+				if j, ok := q.jobs[id]; ok {
+					out[i] = *j
+				}
+			}
+			q.mu.Unlock()
+			return out, nil
+		}
+		if err := ctx.Err(); err != nil {
+			q.mu.Unlock()
+			return nil, err
+		}
+		if !q.closing && q.claimListed(ids) {
+			continue
+		}
+		q.cond.Wait()
+	}
+}
+
+// claimListed runs the first job of ids still waiting in a pending
+// FIFO, reporting whether there was one. Caller holds mu.
+func (q *Queue) claimListed(ids []string) bool {
+	for _, id := range ids {
+		if q.unqueue(id) {
+			q.runLocked(id)
+			return true
+		}
+	}
+	return false
 }
 
 // completeDedupLocked finishes a queued job from an existing result.
@@ -1142,11 +1146,11 @@ func (q *Queue) completeDedupLocked(j *Job, result json.RawMessage) {
 // requeueLocked puts still-queued waiter jobs back at the head of
 // their pending FIFO, preserving their order.
 func (q *Queue) requeueLocked(ids []string) {
-	var live [numQueues][]string
+	var live [numPriorities][]string
 	n := 0
 	for _, id := range ids {
 		if j, ok := q.jobs[id]; ok && j.State == StateQueued {
-			live[queueIndex(j)] = append(live[queueIndex(j)], id)
+			live[j.Priority] = append(live[j.Priority], id)
 			n++
 		}
 	}
@@ -1173,6 +1177,7 @@ func (q *Queue) failJournalLocked(j *Job, err error) {
 		j.Error = err.Error()
 		j.FinishedAt = q.now()
 		q.transitions[StateFailed]++
+		q.cond.Broadcast()
 	}
 }
 

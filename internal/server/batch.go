@@ -353,11 +353,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // cache through Upgrade inside runVerify instead.
 func (s *Server) execBatchJob(ctx context.Context, j *jobqueue.Job) ([]byte, bool, error) {
 	if j.Kind == "optimize" {
-		// Optimize jobs run on the queue's dedicated detached workers
-		// and orchestrate child simulations through the regular pool, so
-		// they must not hold a worker slot themselves (that would
-		// deadlock a Workers=1 pool) and are never plan-cached — the
-		// jobqueue's retained result is their memo.
+		// Optimize jobs wait for child simulations that may run on this
+		// very goroutine (jobqueue.Await), and each child takes a runJob
+		// slot, so the search must not hold one itself (that would
+		// deadlock a Workers=1 pool). Optimize results are never
+		// plan-cached; the jobqueue's retained result is their memo.
 		var req OptimizeRequest
 		if err := json.Unmarshal(j.Request, &req); err != nil {
 			return nil, false, fmt.Errorf("decode persisted optimize request: %w", err)

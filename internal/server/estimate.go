@@ -5,10 +5,8 @@ import (
 	"math"
 	"net/http"
 
-	"locmap/internal/compiler"
 	"locmap/internal/estimate"
 	"locmap/internal/jobqueue"
-	"locmap/internal/lang"
 	"locmap/internal/metrics"
 )
 
@@ -118,17 +116,8 @@ type verifyRequest struct {
 // computeEstimate compiles the request and runs the analytical model:
 // the whole fast-tier pipeline, no simulation anywhere.
 func computeEstimate(req *MapRequest) (*EstimateResult, error) {
-	cfg, opts, err := req.options()
+	cfg, opts, res, err := req.compileBound()
 	if err != nil {
-		return nil, err
-	}
-	res, err := compiler.CompileSource(req.Source, opts)
-	if err != nil {
-		return nil, err
-	}
-	p := res.Program
-	lang.GenerateIndexData(p, 1, 64) // demo inputs, as the simulate path
-	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	est := estimate.New(estimate.Config{Cfg: cfg, Mapper: opts.Mapper})
@@ -281,13 +270,26 @@ func (s *Server) runVerify(vr *verifyRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := s.cfg.SimWorkers
-	if s.cfg.VerifyWorkers < workers {
-		workers = s.cfg.VerifyWorkers
+	if err := s.verifyEstimate(er, vr.Request.CommonRequest); err != nil {
+		return nil, err
 	}
-	res, err := simulate(&SimulateRequest{CommonRequest: vr.Request.CommonRequest}, workers)
+	payload, err := json.Marshal(er)
 	if err != nil {
 		return nil, err
+	}
+	s.cache.Upgrade(vr.Key, payload, er.Tier)
+	return payload, nil
+}
+
+// verifyEstimate simulates req (the region engine capped at
+// VerifyWorkers), measures how far the estimate er drifted, and stamps
+// er with the verdict: tier "verified" when both drifts are within
+// tolerance, otherwise "refined" with the simulation attached. The
+// drifts also feed the verification histograms.
+func (s *Server) verifyEstimate(er *EstimateResult, req CommonRequest) error {
+	res, err := simulate(&SimulateRequest{CommonRequest: req}, min(s.cfg.SimWorkers, s.cfg.VerifyWorkers))
+	if err != nil {
+		return err
 	}
 	s.observeSim(res)
 	simAlpha := res.Telemetry.LLCHitFraction
@@ -298,12 +300,11 @@ func (s *Server) runVerify(vr *verifyRequest) ([]byte, error) {
 			float64(res.LocmapCycles)
 	}
 	within := alphaDrift <= s.cfg.AlphaTolerance && latencyDrift <= s.cfg.LatencyTolerance
-	tier := estimate.TierVerified
+	er.Tier = estimate.TierVerified
 	if !within {
-		tier = estimate.TierRefined
+		er.Tier = estimate.TierRefined
 		er.Sim = res
 	}
-	er.Tier = tier
 	er.Verification = &VerificationReport{
 		SimAlpha:        simAlpha,
 		SimCycles:       res.LocmapCycles,
@@ -312,12 +313,7 @@ func (s *Server) runVerify(vr *verifyRequest) ([]byte, error) {
 		LatencyDrift:    latencyDrift,
 		WithinTolerance: within,
 	}
-	payload, err := json.Marshal(er)
-	if err != nil {
-		return nil, err
-	}
 	s.alphaDrift.Observe(alphaDrift)
 	s.latencyDrift.Observe(latencyDrift)
-	s.cache.Upgrade(vr.Key, payload, tier)
-	return payload, nil
+	return nil
 }

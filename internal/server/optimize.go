@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
-	"locmap/internal/compiler"
 	"locmap/internal/fingerprint"
 	"locmap/internal/jobqueue"
-	"locmap/internal/lang"
 	"locmap/internal/placeopt"
 )
 
@@ -209,7 +206,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Kind:        "optimize",
 		Fingerprint: ofp,
 		Request:     body,
-		Detached:    true,
 	})
 	switch {
 	case errors.Is(err, jobqueue.ErrQueueFull):
@@ -246,26 +242,17 @@ func (s *Server) setOptimizeProgress(jobID string, p OptimizeProgress) {
 	s.queue.SetProgress(jobID, raw)
 }
 
-// runOptimize executes one optimize job on a detached queue worker:
+// runOptimize executes one optimize job on a batch queue worker:
 // compile once, search the placement space through the estimate tier,
-// fan the survivors out as child "simulate" jobs on the regular batch
-// pool, wait for their verdicts and compose the result.
+// fan the survivors out as child "simulate" batch jobs, wait for their
+// verdicts and compose the result.
 func (s *Server) runOptimize(ctx context.Context, j *jobqueue.Job, req *OptimizeRequest) ([]byte, error) {
 	n := req.normalized()
 	prog := OptimizeProgress{Phase: "compile"}
 	s.setOptimizeProgress(j.ID, prog)
 
-	cfg, opts, err := n.options()
+	cfg, opts, res, err := n.compileBound()
 	if err != nil {
-		return nil, err
-	}
-	res, err := compiler.CompileSource(n.Source, opts)
-	if err != nil {
-		return nil, err
-	}
-	p := res.Program
-	lang.GenerateIndexData(p, 1, 64) // demo inputs, as the estimate path
-	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -335,9 +322,14 @@ func (s *Server) runOptimize(ctx context.Context, j *jobqueue.Job, req *Optimize
 	prog.VerifyJobs = ids
 	s.setOptimizeProgress(j.ID, prog)
 
-	verdicts, err := s.awaitJobs(ctx, j.ID, &prog, ids)
+	// Await runs children still queued on this goroutine, so the
+	// search never waits on a pool worker it may itself be holding.
+	verdicts, err := s.queue.Await(ctx, ids, func(done int) {
+		prog.VerifyDone = done
+		s.setOptimizeProgress(j.ID, prog)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("optimize interrupted: %w", err)
 	}
 
 	out := OptimizeResult{Search: search, Resolved: n.resolved()}
@@ -387,42 +379,6 @@ func (s *Server) runOptimize(ctx context.Context, j *jobqueue.Job, req *Optimize
 	s.reg.Counter("locmapd_optimize_jobs_total",
 		"Completed /v1/optimize search jobs.", nil).Inc()
 	return json.Marshal(out)
-}
-
-// awaitJobs polls the queue until every listed child job is terminal,
-// publishing verify progress as children finish. It returns the final
-// snapshots in ids order.
-func (s *Server) awaitJobs(ctx context.Context, jobID string, prog *OptimizeProgress, ids []string) ([]jobqueue.Job, error) {
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		done := 0
-		out := make([]jobqueue.Job, len(ids))
-		for i, id := range ids {
-			cj, ok := s.queue.Job(id)
-			if !ok {
-				// Retention swept the child before we read it — only
-				// possible with a very short ResultTTL; treat as failed.
-				cj = jobqueue.Job{ID: id, State: jobqueue.StateExpired}
-			}
-			out[i] = cj
-			if cj.State.Terminal() {
-				done++
-			}
-		}
-		if done != prog.VerifyDone {
-			prog.VerifyDone = done
-			s.setOptimizeProgress(jobID, *prog)
-		}
-		if done == len(ids) {
-			return out, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("optimize interrupted: %w", ctx.Err())
-		case <-tick.C:
-		}
-	}
 }
 
 // JobListResponse is the body of GET /v1/jobs.

@@ -4,6 +4,8 @@
 // Endpoints (see API.md for the full contract):
 //
 //	POST   /v1/map        compile a loop-nest program, return the schedule
+//	POST   /v1/estimate   answer from the analytical fast tier, verified
+//	                      by a background simulation
 //	POST   /v1/simulate   additionally execute it on the simulator and
 //	                      report the improvement over the default mapping
 //	POST   /v1/batch      submit an async batch of map/simulate jobs (202)
@@ -22,12 +24,16 @@
 //	GET    /healthz       liveness probe (also answers HEAD)
 //	GET    /readyz        readiness probe: 503 past the utilization
 //	                      watermark (also answers HEAD)
+//	GET|PUT|DELETE /v1/cluster/plan/{fingerprint}
+//	                      peer plan-cache traffic in cluster mode
 //
 // Batch jobs run asynchronously on internal/jobqueue — a bounded
 // worker pool behind a durable append-only journal (Config.JournalDir;
 // empty = in-memory only). Batch and synchronous traffic share the
 // plan cache in both directions, and journal replay re-warms it on
-// restart.
+// restart. An optimize search is one more batch job: it submits its
+// verification simulations as child jobs and waits for them with
+// jobqueue.Queue.Await.
 //
 // Routing uses Go 1.22 method-qualified mux patterns; a wrong method
 // gets a 405 with an Allow header and an unknown path a 404, both in
@@ -117,10 +123,11 @@ type Config struct {
 	// batch queue without durability: queued work is lost on exit.
 	JournalDir string
 
-	// BatchWorkers bounds concurrently executing batch jobs (default
-	// max(1, Workers/2)). Batch executions additionally compete with
-	// synchronous requests for the Workers-bounded compute pool, so
-	// total concurrent pipeline work never exceeds Workers.
+	// BatchWorkers bounds concurrently executing batch jobs, optimize
+	// searches included (default max(1, Workers/2)). Batch executions
+	// additionally compete with synchronous requests for the
+	// Workers-bounded compute pool, so total concurrent pipeline work
+	// never exceeds Workers.
 	BatchWorkers int
 
 	// ResultTTL bounds how long a finished batch job's result is
@@ -131,19 +138,10 @@ type Config struct {
 	// (default 64; beyond it the submit is rejected batch_too_large).
 	MaxBatchJobs int
 
-	// QueueLimit bounds the total queued batch jobs (default 1024;
-	// beyond it submissions are rejected queue_full).
+	// QueueLimit bounds the total queued batch jobs, optimize jobs
+	// included (default 1024; beyond it submissions are rejected
+	// queue_full).
 	QueueLimit int
-
-	// OptimizeWorkers bounds concurrently executing /v1/optimize
-	// searches (default 1). Optimize jobs run on the queue's dedicated
-	// detached workers: they orchestrate child simulations through the
-	// regular pool, so they never occupy a pool slot themselves.
-	OptimizeWorkers int
-
-	// OptimizeLimit bounds queued optimize jobs (default 32; beyond it
-	// submissions are rejected queue_full).
-	OptimizeLimit int
 
 	// ReadyWatermark is the /readyz saturation threshold in [0,1]:
 	// the probe reports 503 when sync-pool occupancy or batch-queue
@@ -289,12 +287,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 1024
 	}
-	if cfg.OptimizeWorkers <= 0 {
-		cfg.OptimizeWorkers = 1
-	}
-	if cfg.OptimizeLimit <= 0 {
-		cfg.OptimizeLimit = 32
-	}
 	if cfg.ReadyWatermark <= 0 || cfg.ReadyWatermark > 1 {
 		cfg.ReadyWatermark = 0.9
 	}
@@ -381,13 +373,11 @@ func New(cfg Config) (*Server, error) {
 	replayWarms := s.reg.Counter("locmapd_plancache_replay_warms_total",
 		"Plan-cache entries warmed from journal-replayed batch results.", nil)
 	queue, err := jobqueue.Open(jobqueue.Config{
-		Dir:             cfg.JournalDir,
-		Workers:         cfg.BatchWorkers,
-		DetachedWorkers: cfg.OptimizeWorkers,
-		DetachedLimit:   cfg.OptimizeLimit,
-		ResultTTL:       cfg.ResultTTL,
-		QueueLimit:      cfg.QueueLimit,
-		Exec:            s.execBatchJob,
+		Dir:        cfg.JournalDir,
+		Workers:    cfg.BatchWorkers,
+		ResultTTL:  cfg.ResultTTL,
+		QueueLimit: cfg.QueueLimit,
+		Exec:       s.execBatchJob,
 		Replayed: func(j *jobqueue.Job) {
 			if s.cache.PutTier(j.Fingerprint, j.Result, tierForKind(j.Kind)) {
 				replayWarms.Inc()
@@ -825,6 +815,26 @@ func compilePlan(req *MapRequest) (*Plan, error) {
 	return planFromResult(res), nil
 }
 
+// compileBound is the step every estimating or simulating pipeline
+// starts with: resolve the target, compile the source, bind demo
+// inputs to unbound index arrays, and validate the bound program.
+// compilePlan (static /v1/map) binds nothing and does not use it.
+func (r *CommonRequest) compileBound() (sim.Config, compiler.Options, *compiler.Result, error) {
+	cfg, opts, err := r.options()
+	if err != nil {
+		return sim.Config{}, compiler.Options{}, nil, err
+	}
+	res, err := compiler.CompileSource(r.Source, opts)
+	if err != nil {
+		return sim.Config{}, compiler.Options{}, nil, err
+	}
+	lang.GenerateIndexData(res.Program, 1, 64)
+	if err := res.Program.Validate(); err != nil {
+		return sim.Config{}, compiler.Options{}, nil, err
+	}
+	return cfg, opts, res, nil
+}
+
 // planFromResult flattens a compilation result into the wire shape.
 func planFromResult(res *compiler.Result) *Plan {
 	plan := &Plan{
@@ -888,22 +898,14 @@ func telemetryFrom(st sim.Stats, legs []sim.LegSummary) SimTelemetry {
 // engine's in-run goroutine count (Config.SimWorkers, or the
 // verification cap for background jobs); it never changes results.
 func simulate(req *SimulateRequest, workers int) (*SimResult, error) {
-	cfg, opts, err := req.options()
+	cfg, opts, res, err := req.compileBound()
 	if err != nil {
 		return nil, err
 	}
 	cfg.Workers = workers
-	res, err := compiler.CompileSource(req.Source, opts)
-	if err != nil {
-		return nil, err
-	}
 	p := res.Program
 	if req.TimingIters > 0 {
 		p.TimingIters = req.TimingIters
-	}
-	lang.GenerateIndexData(p, 1, 64) // demo inputs for unbound index arrays
-	if err := p.Validate(); err != nil {
-		return nil, err
 	}
 	sysD := sim.New(cfg)
 	defCycles := sim.TotalCycles(inspector.RunBaseline(sysD, p))
@@ -932,11 +934,10 @@ func simulate(req *SimulateRequest, workers int) (*SimResult, error) {
 // the stats payload — the same depths /metrics exports, so operators
 // get one consistent view from either surface.
 type QueueDepths struct {
-	// Batch counts queued user-facing batch jobs; Background counts
-	// queued verify/remap jobs; Detached counts queued optimize jobs.
+	// Batch counts queued batch and optimize jobs; Background counts
+	// queued verify/remap jobs.
 	Batch      int `json:"batch"`
 	Background int `json:"background"`
-	Detached   int `json:"detached"`
 }
 
 // StatsSnapshot is the body of GET /v1/stats.
@@ -982,7 +983,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Jobqueue: QueueDepths{
 			Batch:      s.queue.Depth(),
 			Background: s.queue.BackgroundDepth(),
-			Detached:   s.queue.DetachedDepth(),
 		},
 		ActiveSessions: s.tenants.Active(),
 	}

@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"locmap/internal/affinity"
-	"locmap/internal/compiler"
 	"locmap/internal/estimate"
 	"locmap/internal/jobqueue"
-	"locmap/internal/lang"
 	"locmap/internal/metrics"
 	"locmap/internal/tenancy"
 )
@@ -145,17 +143,8 @@ func groupKeyFor(res Resolved) string {
 // the co-placement scores partitions against (the estimator guarantees
 // FromAffinities over the same vectors matches FromResult).
 func computeEstimateAffs(req *MapRequest) (*EstimateResult, [][]affinity.SetAffinity, error) {
-	cfg, opts, err := req.options()
+	cfg, opts, res, err := req.compileBound()
 	if err != nil {
-		return nil, nil, err
-	}
-	res, err := compiler.CompileSource(req.Source, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := res.Program
-	lang.GenerateIndexData(p, 1, 64) // demo inputs, as the estimate path
-	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	est := estimate.New(estimate.Config{Cfg: cfg, Mapper: opts.Mapper})
@@ -486,48 +475,19 @@ func (s *Server) runRemap(jobID string, rr *remapRequest) ([]byte, error) {
 		return nil, err
 	}
 	progress("verify", nil)
-	workers := s.cfg.SimWorkers
-	if s.cfg.VerifyWorkers < workers {
-		workers = s.cfg.VerifyWorkers
-	}
-	res, err := simulate(&SimulateRequest{CommonRequest: mr.CommonRequest}, workers)
-	if err != nil {
+	if err := s.verifyEstimate(er, mr.CommonRequest); err != nil {
 		return nil, err
 	}
-	s.observeSim(res)
-	simAlpha := res.Telemetry.LLCHitFraction
-	alphaDrift := math.Abs(er.Estimate.Alpha - simAlpha)
-	latencyDrift := 0.0
-	if res.LocmapCycles > 0 {
-		latencyDrift = math.Abs(float64(er.Estimate.PredictedCycles-res.LocmapCycles)) /
-			float64(res.LocmapCycles)
-	}
-	within := alphaDrift <= s.cfg.AlphaTolerance && latencyDrift <= s.cfg.LatencyTolerance
-	tier := estimate.TierVerified
-	if !within {
-		tier = estimate.TierRefined
-		er.Sim = res
-	}
-	er.Tier = tier
-	er.Verification = &VerificationReport{
-		SimAlpha:        simAlpha,
-		SimCycles:       res.LocmapCycles,
-		DefaultCycles:   res.DefaultCycles,
-		AlphaDrift:      alphaDrift,
-		LatencyDrift:    latencyDrift,
-		WithinTolerance: within,
-	}
-	s.alphaDrift.Observe(alphaDrift)
-	s.latencyDrift.Observe(latencyDrift)
 	sess.SetAffinities(affs)
 
 	// The new drift baseline is the *simulated* α and cycle count:
 	// future telemetry is compared against ground truth, not against
 	// the analytical estimate that just drifted.
+	v := er.Verification
 	plan := tenancy.Plan{
-		Tier:            tier,
-		PredictedAlpha:  simAlpha,
-		PredictedCycles: res.LocmapCycles,
+		Tier:            er.Tier,
+		PredictedAlpha:  v.SimAlpha,
+		PredictedCycles: v.SimCycles,
 	}
 	progress("coplace", nil)
 	placed := s.groupPlacement(sess, &mr, &plan)
@@ -546,9 +506,9 @@ func (s *Server) runRemap(jobID string, rr *remapRequest) ([]byte, error) {
 	}
 	progress("done", map[string]any{
 		"epoch":         ep.Seq,
-		"tier":          tier,
-		"alpha_drift":   alphaDrift,
-		"latency_drift": latencyDrift,
+		"tier":          er.Tier,
+		"alpha_drift":   v.AlphaDrift,
+		"latency_drift": v.LatencyDrift,
 		"interference":  plan.Interference,
 		"remap_ms":      ep.RemapMs,
 	})

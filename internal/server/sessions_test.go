@@ -474,7 +474,7 @@ func TestStatsQueueDepthsAndSessions(t *testing.T) {
 	if err := json.Unmarshal(raw["jobqueue"], &depths); err != nil {
 		t.Fatalf("stats payload has no jobqueue depths: %v", err)
 	}
-	if depths.Batch < 0 || depths.Background < 0 || depths.Detached < 0 {
+	if depths.Batch < 0 || depths.Background < 0 {
 		t.Errorf("negative queue depths: %+v", depths)
 	}
 	var active int
