@@ -2,11 +2,12 @@ GO ?= go
 
 # `make check` is the tier-1 CI gate (see ROADMAP.md), enforced by
 # .github/workflows/ci.yml: build, formatting, vet, the full test
-# suite under the race detector, and the region-engine determinism
-# matrix raced at two pinned GOMAXPROCS values.
-.PHONY: check fmt vet test race race-matrix build bench
+# suite under the race detector, the region-engine determinism
+# matrix raced at two pinned GOMAXPROCS values, and vet plus tests of
+# the benchmark module.
+.PHONY: check fmt vet test race race-matrix perfbench build bench
 
-check: build fmt vet race race-matrix
+check: build fmt vet race race-matrix perfbench
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,13 @@ RACE_MATRIX_RUN = 'TestGoldenWorkersMatrix|TestWorkersBitIdentical|TestParallelR
 race-matrix:
 	GOMAXPROCS=2 $(GO) test -race -run $(RACE_MATRIX_RUN) ./internal/experiments ./internal/sim
 	GOMAXPROCS=8 $(GO) test -race -run $(RACE_MATRIX_RUN) ./internal/experiments ./internal/sim
+
+# perfbench is its own module (perfbench/go.mod replaces locmap with
+# this checkout), so the ./... patterns above skip it; vetting and
+# testing it here makes an API change that breaks the benchmark fail
+# the gate.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # `make bench` runs the simulator micro-benchmarks (RunNest, NoC send,
 # cache access), the RunNest-dominated figure benchmarks, and the

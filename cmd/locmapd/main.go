@@ -12,9 +12,9 @@
 //	-addr ADDR        listen address (default :8347)
 //	-workers N        max concurrent mapping/simulation jobs (default GOMAXPROCS)
 //	-sim-workers N    goroutines each simulation spreads its mesh regions
-//	                  over (default GOMAXPROCS); results are bit-identical
-//	                  at any value — the knob trades single-request latency
-//	                  against cross-request throughput
+//	                  over (default 1, the serial engine, which is faster
+//	                  for the simulated meshes' few events per window);
+//	                  results are bit-identical at any value
 //	-verify-workers N cap on -sim-workers for background verification
 //	                  jobs (default NumCPU/2, min 1)
 //	-cache N          plan-cache capacity in entries (default 1024)
@@ -109,7 +109,7 @@ func splitPeers(s string) []string {
 func run() error {
 	addr := flag.String("addr", ":8347", "listen address")
 	workers := flag.Int("workers", 0, "max concurrent jobs (0 = GOMAXPROCS)")
-	simWorkers := flag.Int("sim-workers", 0, "region-engine goroutines per simulation (0 = GOMAXPROCS)")
+	simWorkers := flag.Int("sim-workers", 1, "region-engine goroutines per simulation (1 = serial engine)")
 	verifyWorkers := flag.Int("verify-workers", 0, "sim-workers cap for background verification (0 = NumCPU/2)")
 	cacheCap := flag.Int("cache", 1024, "plan-cache capacity in entries")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")

@@ -4,8 +4,7 @@
 //
 // The models are behavioural (hit/miss + LRU state), not timing models —
 // latency is attributed by the system simulator in internal/sim, which
-// knows the distances involved. A simplified MOESI-style sharing summary
-// is tracked for shared lines so coherence traffic can be accounted.
+// knows the distances involved.
 package cache
 
 import (
@@ -250,14 +249,6 @@ type LLC struct {
 	Org   Organization
 	banks []*Cache
 	amap  mem.Map
-
-	// sharers tracks, for shared lines, a small MOESI-style summary:
-	// which nodes have touched the line since it was filled. Used only
-	// for coherence-traffic statistics. The maps are per bank — a line
-	// lives in exactly one home bank, so partitioning by bank changes
-	// no counts but lets a region-partitioned engine update each bank's
-	// map from that bank's owning worker without shared writes.
-	sharers []map[uint64]uint16
 }
 
 // NewLLC builds an LLC with `banks` banks of `sizePerBank` bytes each.
@@ -267,9 +258,6 @@ func NewLLC(org Organization, banks, sizePerBank, lineSize, ways int, amap mem.M
 		banks: make([]*Cache, banks),
 		amap:  amap,
 	}
-	if org == SharedSNUCA {
-		l.sharers = newSharers(banks)
-	}
 	for i := range l.banks {
 		c, err := New(sizePerBank, lineSize, ways)
 		if err != nil {
@@ -278,14 +266,6 @@ func NewLLC(org Organization, banks, sizePerBank, lineSize, ways int, amap mem.M
 		l.banks[i] = c
 	}
 	return l, nil
-}
-
-func newSharers(banks int) []map[uint64]uint16 {
-	s := make([]map[uint64]uint16, banks)
-	for i := range s {
-		s[i] = make(map[uint64]uint16)
-	}
-	return s
 }
 
 // NumBanks returns the number of banks.
@@ -307,50 +287,21 @@ func (l *LLC) HomeBank(node int, addr mem.Addr) int {
 // Access performs an LLC access from `node` and reports (bank, hit).
 func (l *LLC) Access(node int, addr mem.Addr) (bank int, hit bool) {
 	bank = l.HomeBank(node, addr)
-	return bank, l.AccessBank(bank, node, addr)
+	return bank, l.AccessBank(bank, addr)
 }
 
-// AccessBank performs an LLC access from `node` that has already been
-// routed to its home bank, reporting the hit outcome. It touches only
-// bank-local state (the bank's tag store and its slice of the sharer
-// summary), which is what lets the region engine serve each bank from
-// the worker that owns it.
-func (l *LLC) AccessBank(bank, node int, addr mem.Addr) bool {
-	hit := l.banks[bank].Access(addr)
-	if l.Org == SharedSNUCA {
-		m := l.sharers[bank]
-		line := uint64(addr) / uint64(l.banks[bank].lineSize)
-		if !hit {
-			m[line] = 0
-		}
-		if node < 16 {
-			m[line] |= 1 << uint(node%16)
-		}
-	}
-	return hit
+// AccessBank performs an LLC access that has already been routed to its
+// home bank, reporting the hit outcome. It touches only that bank's tag
+// store, which is what lets the region engine serve each bank from the
+// worker that owns it.
+func (l *LLC) AccessBank(bank int, addr mem.Addr) bool {
+	return l.banks[bank].Access(addr)
 }
 
-// SharedLines reports how many distinct lines have been touched by more
-// than one (tracked) node — a proxy for coherence-relevant sharing.
-func (l *LLC) SharedLines() int {
-	n := 0
-	for _, bank := range l.sharers {
-		for _, mask := range bank {
-			if mask&(mask-1) != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Reset clears all banks and sharing state.
+// Reset clears all banks.
 func (l *LLC) Reset() {
 	for _, b := range l.banks {
 		b.Reset()
-	}
-	if l.sharers != nil {
-		l.sharers = newSharers(len(l.banks))
 	}
 }
 

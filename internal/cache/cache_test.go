@@ -179,7 +179,25 @@ func TestLLCSharedHitAcrossNodes(t *testing.T) {
 	if _, hit := l.Access(3, 0x40); !hit {
 		t.Error("shared LLC should hit for any node after fill")
 	}
-	if l.SharedLines() != 1 {
-		t.Errorf("SharedLines = %d, want 1", l.SharedLines())
+}
+
+// TestLLCSharedAccessBankAllocFree pins the shared LLC's per-access path
+// to zero heap allocations: every shared-LLC request that misses in L1
+// goes through AccessBank, so any per-line side table there would grow
+// with the simulated footprint.
+func TestLLCSharedAccessBankAllocFree(t *testing.T) {
+	l, err := NewLLC(SharedSNUCA, 4, 1<<10, 64, 2, defaultMap(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addr mem.Addr
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 4096; i++ {
+			l.AccessBank(l.HomeBank(0, addr), addr)
+			addr += 64
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AccessBank over 4096 fresh lines allocates %v times, want 0", allocs)
 	}
 }

@@ -104,6 +104,10 @@ func (o Options) logJob(j Job, m AppMetrics) {
 		o.logf("  %-10s %-7v hw-placement: %d cycles", j.App, j.Variant.Cfg.LLCOrg, m.LACycles)
 	case KindKNL:
 		o.logf("  %-10s knl %v opt=%v scale=%d: %d cycles", j.App, j.KNLMode, j.KNLOpt, j.scale(), m.DefCycles)
+	case KindMulti:
+		for i, name := range j.Mix {
+			o.logf("  %v %-10s multi: %.1f%%", j.Variant.Cfg.LLCOrg, name, m.MixRed(i))
+		}
 	default:
 		tag := ""
 		if j.Variant.Oracle {
@@ -155,6 +159,10 @@ type AppMetrics struct {
 	FracMoved float64
 
 	LLCMissRate float64
+
+	// MixDef and MixLA hold each co-running application's default and
+	// location-aware cycles, in mix order (KindMulti only).
+	MixDef, MixLA [mixSlots]int64
 }
 
 // NetRed returns the percentage reduction in total network latency.
@@ -170,6 +178,12 @@ func (m AppMetrics) ExecRed() float64 {
 // IdealRed returns the ideal-network execution-time improvement bound.
 func (m AppMetrics) IdealRed() float64 {
 	return stats.PctReduction(float64(m.DefCycles), float64(m.IdealCycles))
+}
+
+// MixRed returns the execution-time reduction of the i-th co-running
+// application (KindMulti only).
+func (m AppMetrics) MixRed(i int) float64 {
+	return stats.PctReduction(float64(m.MixDef[i]), float64(m.MixLA[i]))
 }
 
 func newEstimator(p *loop.Program, sys *sim.System, oracleAcc bool) *cme.Estimator {

@@ -18,8 +18,10 @@ import (
 //
 // Under -race the matrix shrinks to a representative slice (two worker
 // counts, two tables spanning private/shared and the multiprogrammed
-// path) so `make check` keeps the protocol raced on every run without
-// a ten-minute bill.
+// path, whose co-runs drive RunNestOn's partitioned barriers) so `make
+// check` keeps the protocol raced on every run without a ten-minute
+// bill. The raced co-runs take 75 s at workers=2 and 115 s at
+// workers=8 on 2 vCPUs, so the multi row races at workers=2 only.
 func TestGoldenWorkersMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -54,6 +56,9 @@ func TestGoldenWorkersMatrix(t *testing.T) {
 		runner := NewRunner(0)
 		runner.SimWorkers = workers
 		for _, g := range tables {
+			if raceEnabled && g.name == "multi" && workers != 2 {
+				continue
+			}
 			tab := g.run(Options{Apps: g.apps, Jobs: 1, Runner: runner})
 			text := tab.String()
 			sum := sha256.Sum256([]byte(text))

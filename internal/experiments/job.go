@@ -33,6 +33,11 @@ const (
 	// 16/17): DefCycles holds the measured cycles. The Variant is
 	// ignored — the machine comes from knl.Config(KNLMode).
 	KindKNL
+	// KindMulti co-runs Job.Mix on the Variant's machine (the §5
+	// multiprogrammed study): a default co-run, then the location-aware
+	// co-run profiled from it. MixDef/MixLA hold each application's
+	// cycles. Mapper knobs, Oracle and WithIdeal are ignored.
+	KindMulti
 )
 
 // Job identifies one simulation: an application at an input scale under
@@ -49,6 +54,10 @@ type Job struct {
 	// location-aware schedule is applied (KindKNL only).
 	KNLMode knl.Mode
 	KNLOpt  bool
+
+	// Mix lists the co-running applications, at most four, in row
+	// order (KindMulti only).
+	Mix []string
 }
 
 func (j Job) scale() int {
@@ -142,6 +151,12 @@ func (j Job) Fingerprint() string {
 		fp.Int(mc.Seed)
 		fp.Bool(mc.DisableBalance)
 	}
+	if j.Kind == KindMulti {
+		fp.Int(int64(len(j.Mix)))
+		for _, name := range j.Mix {
+			fp.Str(name)
+		}
+	}
 	return fp.Sum()
 }
 
@@ -162,6 +177,8 @@ func (j Job) runWith(workers int) AppMetrics {
 		return runHWJob(j.App, j.scale(), j.Variant)
 	case KindKNL:
 		return AppMetrics{Name: j.App, DefCycles: knlExec(j.App, j.scale(), j.KNLMode, j.KNLOpt, workers)}
+	case KindMulti:
+		return runMultiJob(j.Mix, j.scale(), j.Variant.Cfg)
 	default:
 		return RunApp(j.App, j.scale(), j.Variant)
 	}

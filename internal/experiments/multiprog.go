@@ -82,78 +82,94 @@ func runMulti(sys *sim.System, tasks []multiTask) (cycles []int64, firstObs [][]
 	return cycles, firstObs
 }
 
+// mixSlots is the number of strided core partitions the multiprogrammed
+// study splits the chip into, and so the largest mix it co-runs.
+const mixSlots = 4
+
+// runMultiJob co-runs the mix on cfg's machine twice, each application
+// on its own strided core partition with a disjoint address space:
+// first under each application's default mapping (also the profile
+// source), then under the location-aware mapping derived from that
+// profile and clamped to the application's partition.
+func runMultiJob(mix []string, scale int, cfg sim.Config) AppMetrics {
+	mesh := cfg.Mesh
+	// Application i owns cores {i, i+4, i+8, ...}: every partition
+	// spans all regions of the chip, as a scheduler typically spreads
+	// co-running applications' threads, which leaves the mapper room to
+	// place each application's iteration sets near their data within
+	// its own cores.
+	quads := tenancy.StridedPartition(mesh, mixSlots)
+	shared := cfg.LLCOrg == cache.SharedSNUCA
+
+	// Build the tasks with disjoint address spaces.
+	mkTasks := func() []multiTask {
+		var tasks []multiTask
+		var base uint64
+		for i, name := range mix {
+			p := workloads.MustNew(name, scale)
+			end := p.Layout(mem.Addr(base), cfg.PageSize)
+			base = uint64(end) + 1<<24
+			sched := &sim.Schedule{Assign: make([]*core.Assignment, len(p.Nests))}
+			for j, n := range p.Nests {
+				sched.Assign[j] = subsetDefault(mesh, len(n.IterationSets(cfg.IterSetFrac)), quads[i])
+			}
+			tasks = append(tasks, multiTask{p: p, cores: quads[i], sched: sched})
+		}
+		return tasks
+	}
+
+	defCycles, obs := runMulti(sim.New(cfg), mkTasks())
+
+	// Optimized run: per-app Algorithm 1/2 clamped to its partition.
+	optTasks := mkTasks()
+	mapper := core.NewMapper(core.Config{Mesh: mesh})
+	for i := range optTasks {
+		p := optTasks[i].p
+		for j, n := range p.Nests {
+			sets := n.IterationSets(cfg.IterSetFrac)
+			sa := inspector.AffinitiesFromObs(obs[i][j], sets, shared)
+			var a *core.Assignment
+			if shared {
+				a = mapper.MapShared(sa)
+			} else {
+				a = mapper.MapPrivate(sa)
+			}
+			optTasks[i].sched.Assign[j] = tenancy.ClampToCores(mesh, a, optTasks[i].cores)
+		}
+	}
+	optCycles, _ := runMulti(sim.New(cfg), optTasks)
+
+	var m AppMetrics
+	copy(m.MixDef[:], defCycles)
+	copy(m.MixLA[:], optCycles)
+	return m
+}
+
 // MultiProg reproduces the §5 multiprogrammed study: four multithreaded
 // applications run concurrently, each on its own 9-core partition; the
 // location-aware mapping is applied per application within its partition.
+// Each LLC organization's pair of co-runs is one KindMulti job.
 func MultiProg(o Options) *stats.Table {
-	t := stats.NewTable("Multiprogrammed (4 apps on 9-core partitions) — exec-time improvement (%)",
-		"LLC", "benchmark", "improvement")
 	mix := o.Apps
 	if mix == nil {
 		mix = DefaultMix()
 	}
-	if len(mix) > 4 {
-		mix = mix[:4]
+	if len(mix) > mixSlots {
+		mix = mix[:mixSlots]
 	}
-	for _, org := range orgs {
-		cfg := sim.DefaultConfig()
-		cfg.LLCOrg = org
-		mesh := cfg.Mesh
-		// Application i owns cores {i, i+4, i+8, ...}: every partition
-		// spans all regions of the chip, as a scheduler typically
-		// spreads co-running applications' threads, which leaves the
-		// mapper room to place each application's iteration sets near
-		// their data within its own cores.
-		quads := tenancy.StridedPartition(mesh, 4)
-		shared := org == cache.SharedSNUCA
+	jobs := make([]Job, len(orgs))
+	for i, org := range orgs {
+		jobs[i] = Job{Kind: KindMulti, Mix: mix, Scale: o.scale(), Variant: DefaultVariant(org)}
+	}
+	ms := o.collect(o.runner(), jobs)
 
-		// Build the tasks with disjoint address spaces.
-		mkTasks := func() []multiTask {
-			var tasks []multiTask
-			var base uint64
-			for i, name := range mix {
-				p := workloads.MustNew(name, o.scale())
-				end := p.Layout(mem.Addr(base), cfg.PageSize)
-				base = uint64(end) + 1<<24
-				sched := &sim.Schedule{Assign: make([]*core.Assignment, len(p.Nests))}
-				for j, n := range p.Nests {
-					sched.Assign[j] = subsetDefault(mesh, len(n.IterationSets(cfg.IterSetFrac)), quads[i])
-				}
-				tasks = append(tasks, multiTask{p: p, cores: quads[i], sched: sched})
-			}
-			return tasks
-		}
-
-		// Default run (also the profile source).
-		defTasks := mkTasks()
-		sysD := sim.New(cfg)
-		defCycles, obs := runMulti(sysD, defTasks)
-
-		// Optimized run: per-app Algorithm 1/2 clamped to its quadrant.
-		optTasks := mkTasks()
-		mapper := core.NewMapper(core.Config{Mesh: mesh})
-		for i := range optTasks {
-			p := optTasks[i].p
-			for j, n := range p.Nests {
-				sets := n.IterationSets(cfg.IterSetFrac)
-				sa := inspector.AffinitiesFromObs(obs[i][j], sets, shared)
-				var a *core.Assignment
-				if shared {
-					a = mapper.MapShared(sa)
-				} else {
-					a = mapper.MapPrivate(sa)
-				}
-				optTasks[i].sched.Assign[j] = tenancy.ClampToCores(mesh, a, optTasks[i].cores)
-			}
-		}
-		sysO := sim.New(cfg)
-		optCycles, _ := runMulti(sysO, optTasks)
-
+	t := stats.NewTable("Multiprogrammed (4 apps on 9-core partitions) — exec-time improvement (%)",
+		"LLC", "benchmark", "improvement")
+	for i, org := range orgs {
 		var reds []float64
-		for i, name := range mix {
-			red := stats.PctReduction(float64(defCycles[i]), float64(optCycles[i]))
+		for k, name := range mix {
+			red := ms[i].MixRed(k)
 			reds = append(reds, red)
-			o.logf("  %v %-10s multi: %.1f%%", org, name, red)
 			t.AddRowf(org.String(), name, red)
 		}
 		t.AddRowf(org.String(), "AVERAGE", stats.Mean(reds))

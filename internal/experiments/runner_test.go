@@ -85,6 +85,18 @@ func TestJobFingerprintFields(t *testing.T) {
 	knlOpt.KNLOpt = true
 	distinct("knl-opt", knlOpt)
 
+	multi := Job{Kind: KindMulti, Mix: []string{"swim", "mxm"}, Scale: 1, Variant: DefaultVariant(cache.Private)}
+	distinct("multi", multi)
+	mixOrder := multi
+	mixOrder.Mix = []string{"mxm", "swim"}
+	distinct("mix order", mixOrder)
+	mixLen := multi
+	mixLen.Mix = []string{"swim", "mxm", "fft"}
+	distinct("mix length", mixLen)
+	multiShared := multi
+	multiShared.Variant.Cfg.LLCOrg = cache.SharedSNUCA
+	distinct("multi llc-org", multiShared)
+
 	// Normalizations: scale 0 means scale 1, and a nil Mapper.Mesh means
 	// Cfg.Mesh — exactly what RunApp substitutes — so these must alias.
 	zeroScale := base
@@ -101,6 +113,18 @@ func TestJobFingerprintFields(t *testing.T) {
 	b2.Variant.Mapper.Seed = 99
 	if b1.Fingerprint() != b2.Fingerprint() {
 		t.Error("baseline jobs should ignore mapper knobs")
+	}
+	// Only KindMulti reads Mix, so the other kinds' keys must not see
+	// it; multi jobs in turn ignore mapper knobs.
+	withMix := base
+	withMix.Mix = []string{"fft"}
+	if withMix.Fingerprint() != base.Fingerprint() {
+		t.Error("non-multi jobs should ignore Mix")
+	}
+	m1, m2 := multi, multi
+	m2.Variant.Mapper.Seed = 99
+	if m1.Fingerprint() != m2.Fingerprint() {
+		t.Error("multi jobs should ignore mapper knobs")
 	}
 }
 
@@ -176,6 +200,7 @@ func TestTablesByteIdenticalAcrossParallelism(t *testing.T) {
 	}{
 		{"Fig2", Fig2},
 		{"Fig7", Fig7},
+		{"MultiProg", MultiProg},
 	}
 	for _, f := range figs {
 		serial := f.run(Options{Apps: apps, Jobs: 1}).String()

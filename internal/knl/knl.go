@@ -108,17 +108,25 @@ type Map struct {
 
 	// pageQuad pins pages to quadrants (SNC-4 first-touch placement).
 	pageQuad map[mem.Addr]int
+	// quadNodes lists each quadrant's nodes in ID order: the SNC-4
+	// home-bank candidates of a page pinned to that quadrant.
+	quadNodes [4][]topology.NodeID
 }
 
 // NewMap builds the address hash for a cluster mode.
 func NewMap(mode Mode, mesh *topology.Mesh, pageSize, lineSize int) *Map {
-	return &Map{
+	k := &Map{
 		mode:     mode,
 		mesh:     mesh,
 		pageSize: pageSize,
 		lineSize: lineSize,
 		pageQuad: make(map[mem.Addr]int),
 	}
+	for n := topology.NodeID(0); n < topology.NodeID(mesh.NumNodes()); n++ {
+		q := quadrantOf(mesh, n)
+		k.quadNodes[q] = append(k.quadNodes[q], n)
+	}
+	return k
 }
 
 // Mode returns the map's cluster mode.
@@ -132,8 +140,7 @@ func (k *Map) HomeBank(addr mem.Addr) int {
 	case AllToAll, Quadrant:
 		return int(hash64(line) % nodes)
 	default: // SNC4: bank within the page's quadrant
-		q := k.quadOf(addr)
-		quadNodes := k.quadrantNodes(q)
+		quadNodes := k.quadNodes[k.quadOf(addr)]
 		return int(quadNodes[hash64(line)%uint64(len(quadNodes))])
 	}
 }
@@ -167,16 +174,6 @@ func (k *Map) quadOf(addr mem.Addr) int {
 		return q
 	}
 	return int(hash64(uint64(page)) % 4)
-}
-
-func (k *Map) quadrantNodes(q int) []topology.NodeID {
-	var out []topology.NodeID
-	for n := topology.NodeID(0); n < topology.NodeID(k.mesh.NumNodes()); n++ {
-		if quadrantOf(k.mesh, n) == q {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // FirstTouch finalizes SNC-4 page placement: every page of every array is

@@ -129,6 +129,29 @@ func TestSNC4FirstTouchPinsPages(t *testing.T) {
 	}
 }
 
+// TestSNC4HomeBankAllocFree pins SNC-4's per-access home-bank lookup
+// to zero heap allocations, over first-touch pinned and hashed pages
+// alike: the shared-LLC engine calls it on every L1 miss.
+func TestSNC4HomeBankAllocFree(t *testing.T) {
+	cfg := Config(SNC4)
+	kmap := cfg.AddrMap.(*Map)
+	p := snc4Program()
+	kmap.FirstTouch(p, sim.New(cfg).DefaultScheduleFor(p), cfg.IterSetFrac)
+
+	var addr mem.Addr
+	banks := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		banks += kmap.HomeBank(addr)
+		addr += 1024
+	})
+	if allocs != 0 {
+		t.Errorf("SNC-4 HomeBank allocates %v times per call, want 0", allocs)
+	}
+	if banks == 0 {
+		t.Error("every lookup landed on bank 0")
+	}
+}
+
 func TestFirstTouchNoopForOtherModes(t *testing.T) {
 	cfg := Config(AllToAll)
 	kmap := cfg.AddrMap.(*Map)

@@ -89,11 +89,13 @@ type Config struct {
 	Workers int
 
 	// SimWorkers is the region engine's in-run worker count for each
-	// simulation (default GOMAXPROCS): /v1/simulate and batch
+	// simulation (default 1, the serial engine): /v1/simulate and batch
 	// executions spread one run's mesh regions over this many
-	// goroutines. Results are bit-identical at any value — the knob
-	// trades single-request latency against cross-request throughput,
-	// which is Workers' domain.
+	// goroutines. Results are bit-identical at any value. The default
+	// is serial because a 64-cycle window holds only a few events per
+	// region, too few to pay for two barrier waits (DESIGN.md, "The
+	// region-partitioned parallel engine"); raise it only where a
+	// measurement shows a latency gain.
 	SimWorkers int
 
 	// VerifyWorkers caps SimWorkers for background verification jobs
@@ -249,7 +251,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.SimWorkers <= 0 {
-		cfg.SimWorkers = runtime.GOMAXPROCS(0)
+		cfg.SimWorkers = 1
 	}
 	if cfg.VerifyWorkers <= 0 {
 		cfg.VerifyWorkers = runtime.NumCPU() / 2

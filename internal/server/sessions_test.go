@@ -456,7 +456,8 @@ func TestSessionPlanConcurrentReads(t *testing.T) {
 }
 
 // TestStatsQueueDepthsAndSessions: /v1/stats exposes the per-class
-// queue depths and the active session count.
+// queue depths and the active session count, and reports the serial
+// region engine as the default sim_workers.
 func TestStatsQueueDepthsAndSessions(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	createSession(t, ts.URL, triadSrc, "counted")
@@ -483,5 +484,12 @@ func TestStatsQueueDepthsAndSessions(t *testing.T) {
 	}
 	if active != 1 {
 		t.Errorf("active_sessions = %d, want 1", active)
+	}
+	var simWorkers int
+	if err := json.Unmarshal(raw["sim_workers"], &simWorkers); err != nil {
+		t.Fatalf("stats payload has no sim_workers: %v", err)
+	}
+	if simWorkers != 1 {
+		t.Errorf("default sim_workers = %d, want 1", simWorkers)
 	}
 }

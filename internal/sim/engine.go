@@ -540,7 +540,7 @@ func (e *engine) issue(sh *shard, c int) {
 
 		if s.cfg.LLCOrg == cache.Private {
 			tt += s.cfg.L2Latency
-			if s.llc.AccessBank(c, c, addr) {
+			if s.llc.AccessBank(c, addr) {
 				ob.LLCHits++
 				e.resume(sh, c, tt)
 				continue
@@ -567,7 +567,7 @@ func (e *engine) toBank(sh *shard, ev event) {
 	t := sh.view.Send(topology.NodeID(ev.core), topology.NodeID(ev.bank), ev.t, noc.Request)
 	sh.leg(LegReqToBank, t-ev.t)
 	t += s.cfg.L2Latency
-	if s.llc.AccessBank(int(ev.bank), int(ev.core), ev.addr) {
+	if s.llc.AccessBank(int(ev.bank), ev.addr) {
 		e.emit(sh, e.regionOf[ev.core], event{t: t, core: ev.core, stage: stBankReply, bank: ev.bank, k: ev.k})
 	} else {
 		mc := s.amap.MC(ev.addr)
