@@ -7,8 +7,6 @@ package locmap
 // experiments over all 21 applications.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"locmap/internal/cache"
@@ -72,35 +70,6 @@ func BenchmarkFig07Private(b *testing.B) {
 		ms = experiments.RunAll(opts(), experiments.DefaultVariant(cache.Private))
 	}
 	reportMainMetrics(b, ms)
-}
-
-// benchParFig runs the Figure 7 private-LLC experiment with the region
-// engine at a fixed worker count — the figure-scale data point of the
-// "parallel-sim" capture, where across-job parallelism is pinned to 1
-// so in-run speedup is the only variable.
-func benchParFig(b *testing.B, workers int) {
-	var ms []experiments.AppMetrics
-	for i := 0; i < b.N; i++ {
-		ms = experiments.RunAll(
-			experiments.Options{Apps: benchApps, Jobs: 1, SimWorkers: workers},
-			experiments.DefaultVariant(cache.Private))
-	}
-	reportMainMetrics(b, ms)
-}
-
-// BenchmarkParFig07Private is BenchmarkFig07Private at region-engine
-// worker counts 1 and min(NumCPU, 9 regions); the tables produced are
-// bit-identical (TestGoldenWorkersMatrix), only wall-clock differs.
-func BenchmarkParFig07Private(b *testing.B) {
-	wn := runtime.NumCPU()
-	if wn > 9 {
-		wn = 9
-	}
-	if wn < 2 {
-		wn = 2
-	}
-	b.Run("w1", func(b *testing.B) { benchParFig(b, 1) })
-	b.Run(fmt.Sprintf("w%d", wn), func(b *testing.B) { benchParFig(b, wn) })
 }
 
 // BenchmarkFig08Shared measures the shared-LLC main results (paper

@@ -17,8 +17,8 @@
 // Every fresh benchmark whose name matches NAME (substring) must have
 // ns/op within factor× of the same-named entry in LABEL's capture; a
 // violation exits 1. CI's bench-smoke job uses this to pin the region
-// engine's workers=1 path to the sequential baseline with a generous
-// noise allowance.
+// engine's RunNest benchmarks to their checked-in baseline with a
+// generous noise allowance.
 package main
 
 import (

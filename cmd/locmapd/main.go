@@ -11,12 +11,6 @@
 //
 //	-addr ADDR        listen address (default :8347)
 //	-workers N        max concurrent mapping/simulation jobs (default GOMAXPROCS)
-//	-sim-workers N    goroutines each simulation spreads its mesh regions
-//	                  over (default 1, the serial engine, which is faster
-//	                  for the simulated meshes' few events per window);
-//	                  results are bit-identical at any value
-//	-verify-workers N cap on -sim-workers for background verification
-//	                  jobs (default NumCPU/2, min 1)
 //	-cache N          plan-cache capacity in entries (default 1024)
 //	-timeout D        per-request timeout, queueing included (default 30s)
 //	-journal-dir DIR  batch-job journal directory (default locmapd-journal
@@ -109,8 +103,6 @@ func splitPeers(s string) []string {
 func run() error {
 	addr := flag.String("addr", ":8347", "listen address")
 	workers := flag.Int("workers", 0, "max concurrent jobs (0 = GOMAXPROCS)")
-	simWorkers := flag.Int("sim-workers", 1, "region-engine goroutines per simulation (1 = serial engine)")
-	verifyWorkers := flag.Int("verify-workers", 0, "sim-workers cap for background verification (0 = NumCPU/2)")
 	cacheCap := flag.Int("cache", 1024, "plan-cache capacity in entries")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	journalDir := flag.String("journal-dir", filepath.Join(os.TempDir(), "locmapd-journal"),
@@ -168,8 +160,6 @@ func run() error {
 
 	srv, err := server.New(server.Config{
 		Workers:          *workers,
-		SimWorkers:       *simWorkers,
-		VerifyWorkers:    *verifyWorkers,
 		CacheCapacity:    *cacheCap,
 		RequestTimeout:   *timeout,
 		JournalDir:       *journalDir,

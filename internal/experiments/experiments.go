@@ -37,11 +37,6 @@ type Options struct {
 	// Sharing one Runner across figure calls (as cmd/paperbench does)
 	// additionally deduplicates identical jobs across figures.
 	Runner *Runner
-	// SimWorkers sets the region engine's in-run worker count on jobs
-	// when a figure builds its own runner (0 = serial). Results are
-	// bit-identical at any value; a shared Runner carries its own
-	// setting instead.
-	SimWorkers int
 }
 
 func (o Options) scale() int {
@@ -77,9 +72,7 @@ func (o Options) runner() *Runner {
 	if o.Runner != nil {
 		return o.Runner
 	}
-	r := NewRunner(o.Jobs)
-	r.SimWorkers = o.SimWorkers
-	return r
+	return NewRunner(o.Jobs)
 }
 
 // collect runs jobs through r, logging each as it completes. Lines are

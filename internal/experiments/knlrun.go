@@ -17,11 +17,10 @@ import (
 // executes entirely under it; page placement (SNC-4 first touch) is fixed
 // by the default schedule in both cases, as on the real machine where
 // data is placed on first run.
-func knlExec(name string, scale int, mode knl.Mode, optimized bool, workers int) int64 {
+func knlExec(name string, scale int, mode knl.Mode, optimized bool) int64 {
 	p := workloads.MustNew(name, scale)
 	cfg := knl.Config(mode)
 	cfg.LLCOrg = cache.SharedSNUCA
-	cfg.Workers = workers
 	kmap := cfg.AddrMap.(*knl.Map)
 
 	placer := sim.New(cfg)

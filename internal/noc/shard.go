@@ -4,12 +4,12 @@ import (
 	"locmap/internal/topology"
 )
 
-// ShardView is one region worker's window-local view of the network's
-// link-reservation state. During a simulation window the worker routes
+// ShardView is one region's window-local view of the network's
+// link-reservation state. During a simulation window the region routes
 // packets through the view: reads fall through to the network's
 // canonical busy-until state, writes land in a copy-on-write overlay,
 // and per-packet statistics accumulate in view-local counters. At the
-// window barrier every view's overlay is folded back into the canonical
+// window's end every view's overlay is folded back into the canonical
 // state (Fold) and the overlay is discarded (BeginWindow), so the next
 // window starts from a state that includes every region's reservations.
 //
@@ -17,9 +17,8 @@ import (
 // clearing the arrays, so a window costs O(links touched), not
 // O(total links).
 //
-// A ShardView is not safe for concurrent use; the region engine gives
-// each worker its own view and serializes Fold against overlay writes
-// with its window barrier.
+// A ShardView is not safe for concurrent use, and neither are the
+// Network it folds into and the other views over that Network.
 type ShardView struct {
 	net *Network
 
@@ -113,9 +112,9 @@ func (v *ShardView) Send(src, dst topology.NodeID, start int64, class PacketClas
 }
 
 // Fold merges the view's window reservations into the canonical
-// busy-until state for every dirty link selected by owned (nil selects
-// all), as C[l] = max(val[l], C[l] + occ[l]): when the link was quiet,
-// the view's own timeline stands exactly (for a single view this
+// busy-until state of every link the view touched this window, as
+// C[l] = max(val[l], C[l] + occ[l]): when the link was quiet, the
+// view's own timeline stands exactly (for a single view this
 // reproduces Network.Send's bookkeeping bit-for-bit); when another
 // view's fold already pushed C past it, this view's packets queue
 // behind — its occupancy is appended. A plain max would let same-window
@@ -124,26 +123,19 @@ func (v *ShardView) Send(src, dst topology.NodeID, start int64, class PacketClas
 // first packet.
 //
 // The merge order over views matters for the exact result, so the
-// engine folds views in region order on every path; for one link all
-// its folds run on one goroutine (the link's owner), which is what the
-// owned predicate partitions. Concurrent Fold calls with disjoint
-// predicates are safe: val/occ/dirty are read-only during the fold
-// phase and the busy-until writes are disjoint.
-func (v *ShardView) Fold(owned func(topology.LinkID) bool) {
+// region engine folds its views in region order.
+func (v *ShardView) Fold() {
 	for _, l := range v.dirty {
-		if owned == nil || owned(l) {
-			c := v.net.busyUntil[l] + v.occ[l]
-			if v.val[l] > c {
-				c = v.val[l]
-			}
-			v.net.busyUntil[l] = c
+		c := v.net.busyUntil[l] + v.occ[l]
+		if v.val[l] > c {
+			c = v.val[l]
 		}
+		v.net.busyUntil[l] = c
 	}
 }
 
 // FlushStats adds the view's accumulated packet statistics into the
-// network and zeroes them. The region engine calls it once per run,
-// from a single goroutine.
+// network and zeroes them. The region engine calls it once per run.
 func (v *ShardView) FlushStats() {
 	n := v.net
 	n.packets += v.packets

@@ -408,7 +408,7 @@ func (s *Server) batchJobFunc(j *jobqueue.Job) (func() ([]byte, error), error) {
 			return nil, fmt.Errorf("decode persisted simulate request: %w", err)
 		}
 		return func() ([]byte, error) {
-			res, err := simulate(&req, s.cfg.SimWorkers)
+			res, err := simulate(&req)
 			if err != nil {
 				return nil, err
 			}

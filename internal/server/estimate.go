@@ -281,13 +281,12 @@ func (s *Server) runVerify(vr *verifyRequest) ([]byte, error) {
 	return payload, nil
 }
 
-// verifyEstimate simulates req (the region engine capped at
-// VerifyWorkers), measures how far the estimate er drifted, and stamps
-// er with the verdict: tier "verified" when both drifts are within
-// tolerance, otherwise "refined" with the simulation attached. The
-// drifts also feed the verification histograms.
+// verifyEstimate simulates req, measures how far the estimate er
+// drifted, and stamps er with the verdict: tier "verified" when both
+// drifts are within tolerance, otherwise "refined" with the simulation
+// attached. The drifts also feed the verification histograms.
 func (s *Server) verifyEstimate(er *EstimateResult, req CommonRequest) error {
-	res, err := simulate(&SimulateRequest{CommonRequest: req}, min(s.cfg.SimWorkers, s.cfg.VerifyWorkers))
+	res, err := simulate(&SimulateRequest{CommonRequest: req})
 	if err != nil {
 		return err
 	}

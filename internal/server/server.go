@@ -88,21 +88,6 @@ type Config struct {
 	// queue until a worker frees up or their timeout expires.
 	Workers int
 
-	// SimWorkers is the region engine's in-run worker count for each
-	// simulation (default 1, the serial engine): /v1/simulate and batch
-	// executions spread one run's mesh regions over this many
-	// goroutines. Results are bit-identical at any value. The default
-	// is serial because a 64-cycle window holds only a few events per
-	// region, too few to pay for two barrier waits (DESIGN.md, "The
-	// region-partitioned parallel engine"); raise it only where a
-	// measurement shows a latency gain.
-	SimWorkers int
-
-	// VerifyWorkers caps SimWorkers for background verification jobs
-	// (default max(1, NumCPU/2)): verification is throughput work that
-	// should not crowd out latency-sensitive requests.
-	VerifyWorkers int
-
 	// CacheCapacity bounds the plan cache entry count (default 1024).
 	CacheCapacity int
 
@@ -249,15 +234,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SimWorkers <= 0 {
-		cfg.SimWorkers = 1
-	}
-	if cfg.VerifyWorkers <= 0 {
-		cfg.VerifyWorkers = runtime.NumCPU() / 2
-		if cfg.VerifyWorkers < 1 {
-			cfg.VerifyWorkers = 1
-		}
 	}
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 1024
@@ -780,7 +756,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serve(w, r, &req, "simulate", TierSim, func() ([]byte, error) {
-		res, err := simulate(&req, s.cfg.SimWorkers)
+		res, err := simulate(&req)
 		if err != nil {
 			return nil, err
 		}
@@ -896,15 +872,12 @@ func telemetryFrom(st sim.Stats, legs []sim.LegSummary) SimTelemetry {
 }
 
 // simulate compiles the request and verifies the schedule on the
-// simulator, mirroring cmd/locmap's -run path. workers is the region
-// engine's in-run goroutine count (Config.SimWorkers, or the
-// verification cap for background jobs); it never changes results.
-func simulate(req *SimulateRequest, workers int) (*SimResult, error) {
+// simulator, mirroring cmd/locmap's -run path.
+func simulate(req *SimulateRequest) (*SimResult, error) {
 	cfg, opts, res, err := req.compileBound()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = workers
 	p := res.Program
 	if req.TimingIters > 0 {
 		p.TimingIters = req.TimingIters
@@ -950,7 +923,6 @@ type StatsSnapshot struct {
 	Rejects       uint64          `json:"rejects"`
 	Timeouts      uint64          `json:"timeouts"`
 	Workers       int             `json:"workers"`
-	SimWorkers    int             `json:"sim_workers"`
 	Inflight      int64           `json:"inflight"`
 	Cache         plancache.Stats `json:"cache"`
 	LatencyCount  uint64          `json:"latency_count"`
@@ -976,7 +948,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Rejects:       s.rejects.Load(),
 		Timeouts:      s.timeouts.Load(),
 		Workers:       s.cfg.Workers,
-		SimWorkers:    s.cfg.SimWorkers,
 		Inflight:      s.inflight.Load(),
 		Cache:         s.cache.Stats(),
 		LatencyCount:  s.lat.Count(),

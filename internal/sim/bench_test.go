@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"locmap/internal/cache"
@@ -72,55 +70,6 @@ func BenchmarkRunNestIrregular(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunNest(n, sets, assign)
 	}
-}
-
-// benchParNest is benchNest with an explicit region-engine worker
-// count; the w1/wN pairs below are the speedup measurement behind the
-// "parallel-sim" label in BENCH_sim.json.
-func benchParNest(b *testing.B, org cache.Organization, workers int) {
-	cfg := DefaultConfig()
-	cfg.LLCOrg = org
-	cfg.Workers = workers
-	s := New(cfg)
-	p := workloads.MustNew("swim", 1)
-	n := p.Nests[0]
-	sets := s.Sets(n)
-	assign := core.DefaultSchedule(cfg.Mesh, len(sets))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunNest(n, sets, assign)
-	}
-	iters := n.Iterations() * int64(len(n.Refs))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters*int64(b.N)), "ns/ref")
-}
-
-// parWorkers is the wN level of the parallel benchmarks: every core on
-// the host, capped by the 9 regions of the Table 4 mesh.
-func parWorkers() int {
-	w := runtime.NumCPU()
-	if max := DefaultConfig().Mesh.NumRegions(); w > max {
-		w = max
-	}
-	if w < 2 {
-		w = 2 // still exercise the barrier path on single-core hosts
-	}
-	return w
-}
-
-// BenchmarkParNestPrivate measures the region engine serial (w1)
-// against parallel (wN, N = min(NumCPU, regions)) on the private-LLC
-// nest. Both produce bit-identical results; only wall-clock differs.
-func BenchmarkParNestPrivate(b *testing.B) {
-	b.Run("w1", func(b *testing.B) { benchParNest(b, cache.Private, 1) })
-	b.Run(fmt.Sprintf("w%d", parWorkers()), func(b *testing.B) { benchParNest(b, cache.Private, parWorkers()) })
-}
-
-// BenchmarkParNestShared is BenchmarkParNestPrivate under the S-NUCA
-// shared LLC, whose bank legs cross regions far more often.
-func BenchmarkParNestShared(b *testing.B) {
-	b.Run("w1", func(b *testing.B) { benchParNest(b, cache.SharedSNUCA, 1) })
-	b.Run(fmt.Sprintf("w%d", parWorkers()), func(b *testing.B) { benchParNest(b, cache.SharedSNUCA, parWorkers()) })
 }
 
 // BenchmarkNoCSend measures one routed packet send, the innermost NoC

@@ -32,26 +32,26 @@
 // region, each region has its own (t, seq) event heap, and each event
 // stage is owned by the region whose state it mutates (see the stage
 // table in engine.go). Regions advance in lock-stepped time windows:
-// each round, every region drains its heap up to a shared horizon T+W
-// (T = the earliest pending event anywhere, W = windowCycles), then the
-// engine exchanges what crossed region boundaries —
+// each round, every region in turn drains its heap up to a shared
+// horizon T+W (T = the earliest pending event anywhere, W =
+// windowCycles), then the engine exchanges what crossed region
+// boundaries —
 //
-//   - boundary events land in per-(source, destination) outboxes during
-//     the window and are merged into the destination heap at the
-//     barrier, in (source region, FIFO) order, where they receive their
-//     destination-local sequence numbers;
+//   - boundary events wait in one buffer during the window and are
+//     then pushed into their destination heaps in (source region, FIFO)
+//     order, where they receive their destination-local sequence
+//     numbers;
 //   - link reservations made during the window through each region's
 //     copy-on-write view of the NoC's busy-until state are folded back
-//     at the barrier (noc.ShardView.Fold) in region order, serializing
-//     same-window occupancy from different regions onto each link.
+//     (noc.ShardView.Fold) in region order, serializing same-window
+//     occupancy from different regions onto each link.
 //
 // Within a region, events are served in strict (t, seq) order; seq is
-// region-local and deterministic, so the complete logical schedule is a
-// pure function of the machine's region structure. Worker goroutines
-// only multiplex regions (statically, region modulo workers) — they
-// never change which events run in which window or in what order — so
-// every experiment table is bit-identical at any Config.Workers value,
-// a contract gated by golden tests at workers ∈ {1, 2, 4, 8}.
+// region-local and deterministic, so the complete schedule is a pure
+// function of the machine's region structure. The windows are part of
+// the timing model, not a parallelism device: they decide when one
+// region sees another's traffic, and the golden tables
+// (internal/experiments/testdata) pin the schedule they produce.
 //
 // Per-chain timing stays exact at any W: event timestamps are computed
 // from each leg's arrival arithmetic, never clamped to window edges.
@@ -103,11 +103,9 @@ type Config struct {
 	// trip count (Table 4: 0.25%).
 	IterSetFrac float64
 
-	// Workers is the number of goroutines the region engine multiplexes
-	// its region shards over during a run (0 or 1 = single-threaded;
-	// values above the region count are clamped). Workers is a pure
-	// execution knob: results are bit-identical at any value, so it is
-	// excluded from job/cache fingerprints throughout the repository.
+	// Workers is kept so existing callers still compile.
+	//
+	// Deprecated: ignored. The region engine always runs serially.
 	Workers int
 }
 
@@ -152,9 +150,8 @@ type System struct {
 	legCnt [numLegs]uint64
 
 	// eng is the persistent region engine: shards, link-state views and
-	// outboxes are allocated once and re-armed per nest. A System (and
-	// its engine) is not safe for concurrent use; Config.Workers
-	// parallelism lives entirely inside one RunNest call.
+	// the boundary buffer are allocated once and re-armed per nest. A
+	// System (and its engine) is not safe for concurrent use.
 	eng *engine
 }
 
@@ -266,9 +263,8 @@ type NestResult struct {
 // Execution is discrete-event on the region-partitioned window engine
 // (see the package comment): each region serves its own events in
 // (t, seq) order and regions exchange boundary events and link
-// reservations at window barriers, on cfg.Workers goroutines. Each
-// in-order core keeps one iteration in flight, with that iteration's
-// references issued concurrently.
+// reservations at window ends. Each in-order core keeps one iteration
+// in flight, with that iteration's references issued concurrently.
 func (s *System) RunNest(n *loop.Nest, sets []loop.IterSet, assign *core.Assignment) NestResult {
 	return s.RunNestOn(n, sets, assign, nil)
 }
@@ -357,11 +353,7 @@ func (s *System) RunNestOn(n *loop.Nest, sets []loop.IterSet, assign *core.Assig
 		}
 	}
 	eng.arm(n, sets, obs, work)
-	workers := s.cfg.Workers
-	if workers > eng.numRegions {
-		workers = eng.numRegions
-	}
-	eng.run(workers)
+	eng.run()
 
 	end := start
 	if cores == nil {
