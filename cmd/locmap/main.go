@@ -126,18 +126,13 @@ func run(w io.Writer) error {
 		if err := p.Validate(); err != nil {
 			return err
 		}
-		sysD := sim.New(cfg)
-		defCycles := sim.TotalCycles(inspector.RunBaseline(sysD, p))
-		var laCycles int64
+		// Both schedules on one machine, as locmapd's /v1/simulate.
+		sched := res.Schedule
 		if res.NeedsInspector {
-			sys := sim.New(cfg)
-			mapper := core.NewMapper(core.Config{Mesh: cfg.Mesh})
-			r := inspector.Run(sys, p, mapper, inspector.DefaultOverhead())
-			laCycles = r.TotalCycles()
-		} else {
-			sys := sim.New(cfg)
-			laCycles = sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return res.Schedule }))
+			sched = nil // the inspector maps every nest at run time
 		}
+		mapper := core.NewMapper(core.Config{Mesh: cfg.Mesh})
+		defCycles, laCycles, _ := inspector.Compare(sim.New(cfg), p, sched, mapper, inspector.DefaultOverhead())
 		fmt.Fprintf(&out, "\n/* simulated: default=%d cycles, locmap=%d cycles, improvement=%.1f%% */\n",
 			defCycles, laCycles, stats.PctReduction(float64(defCycles), float64(laCycles)))
 	}

@@ -14,6 +14,7 @@
 //	-mapping la|oracle   mapping to compare against the default
 //	-scale N         input-size scale (1, 2, 4)
 //	-ideal           also measure the zero-latency-network bound
+//	-heatmap         print per-node NoC traffic of both measured runs
 //	-list            print available benchmarks and exit
 package main
 
@@ -23,10 +24,7 @@ import (
 	"os"
 
 	"locmap/internal/cache"
-	"locmap/internal/core"
 	"locmap/internal/experiments"
-	"locmap/internal/inspector"
-	"locmap/internal/sim"
 	"locmap/internal/stats"
 	"locmap/internal/workloads"
 )
@@ -82,11 +80,9 @@ func run() error {
 		return fmt.Errorf("unknown -mapping %q", *mapping)
 	}
 
-	// One-job invocation of the same runner layer paperbench uses; a
-	// single-slot pool, since there is nothing to overlap.
-	m := experiments.NewRunner(1).RunJob(experiments.Job{
-		Kind: experiments.KindApp, App: *app, Scale: *scale, Variant: v,
-	})
+	// The evaluation paperbench's app jobs run, plus the per-node
+	// traffic of the two runs it reports, for -heatmap.
+	m, traffic := experiments.RunAppTraffic(workloads.MustNew(*app, *scale), v)
 	fmt.Printf("benchmark        %s (%s, scale %d, %s LLC, %s mapping)\n",
 		m.Name, class(m.Regular), *scale, *llc, *mapping)
 	fmt.Printf("default exec     %d cycles\n", m.DefCycles)
@@ -105,27 +101,13 @@ func run() error {
 		fmt.Printf("ideal-NoC bound  %.1f%% (Figure 2 potential)\n", m.IdealRed())
 	}
 	if *heatmap {
-		printHeatmaps(*app, *scale, v)
+		mesh := v.Cfg.Mesh
+		fmt.Println()
+		fmt.Print(stats.Heatmap("default mapping: per-node NoC traffic", traffic.Default, mesh.Width, mesh.Height))
+		fmt.Println()
+		fmt.Print(stats.Heatmap("location-aware mapping: per-node NoC traffic", traffic.LocAware, mesh.Width, mesh.Height))
 	}
 	return nil
-}
-
-// printHeatmaps renders per-node NoC traffic for the default and the
-// location-aware runs side by side.
-func printHeatmaps(app string, scale int, v experiments.Variant) {
-	p := workloads.MustNew(app, scale)
-	mesh := v.Cfg.Mesh
-
-	sysD := sim.New(v.Cfg)
-	inspector.RunBaseline(sysD, p)
-	fmt.Println()
-	fmt.Print(stats.Heatmap("default mapping: per-node NoC traffic", sysD.NodeTraffic(), mesh.Width, mesh.Height))
-
-	sysL := sim.New(v.Cfg)
-	mapper := core.NewMapper(core.Config{Mesh: mesh})
-	inspector.Run(sysL, p, mapper, inspector.DefaultOverhead())
-	fmt.Println()
-	fmt.Print(stats.Heatmap("location-aware mapping: per-node NoC traffic", sysL.NodeTraffic(), mesh.Width, mesh.Height))
 }
 
 func class(regular bool) string {

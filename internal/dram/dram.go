@@ -60,7 +60,7 @@ type controller struct {
 	reqs        uint64
 	rowHits     uint64
 	rowConfl    uint64
-	totalCycles uint64 // sum of service latencies (excl. queueing? incl.)
+	totalCycles uint64 // sum of done − arrival: service plus bank and bus queueing
 }
 
 // DRAM is the set of memory controllers.

@@ -251,17 +251,30 @@ func affinityError(est [][]affinity.SetAffinity, res sim.ProgramResult, p *loop.
 // programs, inspector–executor for irregular ones), and optionally the
 // ideal network.
 func RunApp(name string, scale int, v Variant) AppMetrics {
-	p := workloads.MustNew(name, scale)
+	m, _ := RunAppTraffic(workloads.MustNew(name, scale), v)
+	return m
+}
+
+// Traffic holds the per-node NoC traffic (sim.System.NodeTraffic,
+// row-major over the mesh) of the default and location-aware runs one
+// RunApp evaluation measured.
+type Traffic struct {
+	Default, LocAware []float64
+}
+
+// RunAppTraffic is RunApp on a built program, plus the per-node NoC
+// traffic of the two runs its metrics report — the data behind simnoc's
+// heatmaps.
+//
+// The irregular path goes through inspector.Evaluate, which at one
+// timing iteration simulates the profiled default-schedule iteration
+// once for the baseline and the inspector; the oracle and CME paths
+// run the baseline, Reset the machine, and run the location-aware
+// schedule on it. The numbers equal those of separate fresh machines.
+func RunAppTraffic(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 	shared := v.Cfg.LLCOrg == cache.SharedSNUCA
 
-	m := AppMetrics{Name: name, Regular: p.Regular}
-
-	// Default mapping.
-	sysD := sim.New(v.Cfg)
-	defRes := inspector.RunBaseline(sysD, p)
-	m.DefCycles = sim.TotalCycles(defRes)
-	m.DefNet = sim.TotalNetLatency(defRes)
-	m.LLCMissRate = sysD.Stats().LLCMissRate()
+	m := AppMetrics{Name: p.Name, Regular: p.Regular}
 
 	// Ideal network bound.
 	if v.WithIdeal {
@@ -277,42 +290,26 @@ func RunApp(name string, scale int, v Variant) AppMetrics {
 	}
 	mapper := core.NewMapper(mcfg)
 
-	switch {
-	case v.Oracle:
-		// Perfect MAI/CAI/CME: affinities observed on a separate
-		// profiling pass (the compiler knowing the truth), then the
-		// whole execution — every timing iteration — runs under the
-		// optimized schedule on a fresh machine, with zero overhead.
-		prof := sim.New(v.Cfg)
-		first := prof.RunProgram(p, prof.DefaultScheduleFor(p))
-		est := make([][]affinity.SetAffinity, len(p.Nests))
-		for i, n := range p.Nests {
-			est[i] = inspector.AffinitiesFromObs(first.NestObs[i], prof.Sets(n), shared)
-		}
-		sched, frac := scheduleFromAffinities(p, mapper, shared, est)
-		m.FracMoved = frac
-		sys := sim.New(v.Cfg)
-		res := sys.RunTiming(p, func(int) *sim.Schedule { return sched })
-		m.LACycles = sim.TotalCycles(res)
-		m.LANet = sim.TotalNetLatency(res)
-		m.MAIErr, m.CAIErr = affinityError(est, res[len(res)-1], p, sys, shared)
+	// Default mapping. For an irregular program Evaluate runs the
+	// baseline and the inspected run, and returns the machine that ran
+	// the latter.
+	irregular := !v.Oracle && !p.Regular
+	sys := sim.New(v.Cfg)
+	la := sys // the machine that runs the location-aware schedule
+	var defRes []sim.ProgramResult
+	var r *inspector.Result
+	if irregular {
+		defRes, r, la = inspector.Evaluate(sys, p, mapper, inspector.DefaultOverhead())
+	} else {
+		defRes = inspector.RunBaseline(sys, p)
+	}
+	m.DefCycles = sim.TotalCycles(defRes)
+	m.DefNet = sim.TotalNetLatency(defRes)
+	m.LLCMissRate = sys.Stats().LLCMissRate()
+	tr := Traffic{Default: sys.NodeTraffic()}
 
-	case p.Regular:
-		// Compile-time path: CME-estimated affinities.
-		sys := sim.New(v.Cfg)
-		est := newEstimator(p, sys, false)
-		perNest := est.EstimateProgram(p)
-		sched, frac := scheduleFromAffinities(p, mapper, shared, perNest)
-		m.FracMoved = frac
-		res := sys.RunTiming(p, func(int) *sim.Schedule { return sched })
-		m.LACycles = sim.TotalCycles(res)
-		m.LANet = sim.TotalNetLatency(res)
-		m.MAIErr, m.CAIErr = affinityError(perNest, res[len(res)-1], p, sys, shared)
-
-	default:
+	if irregular {
 		// Irregular path: inspector–executor with overhead accounting.
-		sys := sim.New(v.Cfg)
-		r := inspector.Run(sys, p, mapper, inspector.DefaultOverhead())
 		m.LACycles = r.TotalCycles()
 		m.LANet = r.NetLatency()
 		m.OverheadFrac = float64(r.OverheadCycles) / float64(m.LACycles)
@@ -322,9 +319,32 @@ func RunApp(name string, scale int, v Variant) AppMetrics {
 			nn++
 		}
 		m.FracMoved = frac / nn
-		m.MAIErr, m.CAIErr = affinityError(r.PerNest, r.Results[len(r.Results)-1], p, sys, shared)
+		m.MAIErr, m.CAIErr = affinityError(r.PerNest, r.Results[len(r.Results)-1], p, la, shared)
+	} else {
+		var est [][]affinity.SetAffinity
+		if v.Oracle {
+			// Perfect MAI/CAI/CME: the affinities the baseline's cold
+			// iteration 0 observed (the compiler knowing the truth);
+			// every timing iteration then runs under the optimized
+			// schedule, with zero overhead.
+			est = make([][]affinity.SetAffinity, len(p.Nests))
+			for i, n := range p.Nests {
+				est[i] = inspector.AffinitiesFromObs(defRes[0].NestObs[i], sys.Sets(n), shared)
+			}
+		} else {
+			// Compile-time path: CME-estimated affinities.
+			est = newEstimator(p, sys, false).EstimateProgram(p)
+		}
+		sched, frac := scheduleFromAffinities(p, mapper, shared, est)
+		m.FracMoved = frac
+		sys.Reset()
+		res := sys.RunTiming(p, func(int) *sim.Schedule { return sched })
+		m.LACycles = sim.TotalCycles(res)
+		m.LANet = sim.TotalNetLatency(res)
+		m.MAIErr, m.CAIErr = affinityError(est, res[len(res)-1], p, sys, shared)
 	}
-	return m
+	tr.LocAware = la.NodeTraffic()
+	return m, tr
 }
 
 // RunAll evaluates a set of benchmarks under one variant, simulating

@@ -13,36 +13,37 @@ import (
 
 // knlExec measures one application on the KNL-like machine in one cluster
 // mode. When optimized, the location-aware schedule is derived from a
-// separate profiling pass (the compiler's knowledge) and the measured run
-// executes entirely under it; page placement (SNC-4 first touch) is fixed
-// by the default schedule in both cases, as on the real machine where
-// data is placed on first run.
+// profiling pass under the default schedule (the compiler's knowledge)
+// and the measured run executes entirely under it on the same machine,
+// Reset to cold; page placement (SNC-4 first touch) is fixed by the
+// default schedule in both cases, as on the real machine where data is
+// placed on first run.
 func knlExec(name string, scale int, mode knl.Mode, optimized bool) int64 {
 	p := workloads.MustNew(name, scale)
 	cfg := knl.Config(mode)
 	cfg.LLCOrg = cache.SharedSNUCA
 	kmap := cfg.AddrMap.(*knl.Map)
 
-	placer := sim.New(cfg)
-	def := placer.DefaultScheduleFor(p)
+	// First touch writes the address map every run reads, so it
+	// precedes the first simulation.
+	sys := sim.New(cfg)
+	def := sys.DefaultScheduleFor(p)
 	kmap.FirstTouch(p, def, cfg.IterSetFrac)
 
 	if !optimized {
-		sys := sim.New(cfg)
 		return sim.TotalCycles(inspector.RunBaseline(sys, p))
 	}
 
 	// Profile pass → affinities → Algorithm 2 schedule.
-	prof := sim.New(cfg)
-	first := prof.RunProgram(p, def)
+	first := sys.RunProgram(p, def)
 	est := make([][]affinity.SetAffinity, len(p.Nests))
 	for i, n := range p.Nests {
-		est[i] = inspector.AffinitiesFromObs(first.NestObs[i], prof.Sets(n), true)
+		est[i] = inspector.AffinitiesFromObs(first.NestObs[i], sys.Sets(n), true)
 	}
 	mapper := core.NewMapper(core.Config{Mesh: cfg.Mesh})
 	sched, _ := scheduleFromAffinities(p, mapper, true, est)
 
-	sys := sim.New(cfg)
+	sys.Reset()
 	return sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched }))
 }
 

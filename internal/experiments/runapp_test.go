@@ -1,0 +1,129 @@
+package experiments
+
+import (
+	"reflect"
+	"testing"
+
+	"locmap/internal/affinity"
+	"locmap/internal/cache"
+	"locmap/internal/core"
+	"locmap/internal/inspector"
+	"locmap/internal/loop"
+	"locmap/internal/sim"
+	"locmap/internal/workloads"
+)
+
+// runAppSeparate is RunAppTraffic's reference: every simulation on its
+// own fresh machine — the baseline, the oracle's profiling pass, and
+// the location-aware run.
+func runAppSeparate(p *loop.Program, v Variant) (AppMetrics, Traffic) {
+	shared := v.Cfg.LLCOrg == cache.SharedSNUCA
+	m := AppMetrics{Name: p.Name, Regular: p.Regular}
+
+	sysD := sim.New(v.Cfg)
+	defRes := inspector.RunBaseline(sysD, p)
+	m.DefCycles = sim.TotalCycles(defRes)
+	m.DefNet = sim.TotalNetLatency(defRes)
+	m.LLCMissRate = sysD.Stats().LLCMissRate()
+	mapper := core.NewMapper(v.Mapper)
+
+	sys := sim.New(v.Cfg)
+	if v.Oracle || p.Regular {
+		var est [][]affinity.SetAffinity
+		if v.Oracle {
+			prof := sim.New(v.Cfg)
+			first := prof.RunProgram(p, prof.DefaultScheduleFor(p))
+			est = make([][]affinity.SetAffinity, len(p.Nests))
+			for i, n := range p.Nests {
+				est[i] = inspector.AffinitiesFromObs(first.NestObs[i], prof.Sets(n), shared)
+			}
+		} else {
+			est = newEstimator(p, sys, false).EstimateProgram(p)
+		}
+		sched, frac := scheduleFromAffinities(p, mapper, shared, est)
+		m.FracMoved = frac
+		res := sys.RunTiming(p, func(int) *sim.Schedule { return sched })
+		m.LACycles = sim.TotalCycles(res)
+		m.LANet = sim.TotalNetLatency(res)
+		m.MAIErr, m.CAIErr = affinityError(est, res[len(res)-1], p, sys, shared)
+	} else {
+		r := inspector.Run(sys, p, mapper, inspector.DefaultOverhead())
+		m.LACycles = r.TotalCycles()
+		m.LANet = r.NetLatency()
+		m.OverheadFrac = float64(r.OverheadCycles) / float64(m.LACycles)
+		var frac, nn float64
+		for _, a := range r.Optimized.Assign {
+			frac += a.FracMoved()
+			nn++
+		}
+		m.FracMoved = frac / nn
+		m.MAIErr, m.CAIErr = affinityError(r.PerNest, r.Results[len(r.Results)-1], p, sys, shared)
+	}
+	return m, Traffic{Default: sysD.NodeTraffic(), LocAware: sys.NodeTraffic()}
+}
+
+// smallMoldyn is moldyn cut to its first four force phases and first
+// two neighbor-list phases: the same irregular gathers and three timing
+// iterations at a tenth of the simulation.
+func smallMoldyn() *loop.Program {
+	p := workloads.MustNew("moldyn", 1)
+	var keep []*loop.Nest
+	for _, n := range p.Nests {
+		switch n.Name {
+		case "force0", "force1", "force2", "force3", "neighbors0", "neighbors1":
+			keep = append(keep, n)
+		}
+	}
+	p.Nests = keep
+	return p
+}
+
+// TestRunAppMatchesSeparateMachines covers the irregular paths the
+// golden tables miss (their apps are regular): a cut-down moldyn, with
+// three timing iterations, through the inspector under both LLC
+// organizations and through the oracle, and at one timing iteration,
+// where the baseline and the inspector share their default iteration.
+// RunAppTraffic reuses one machine where it can; its metrics and
+// traffic must equal the separate-machine reference exactly. The mxm cases check the per-node
+// traffic of the regular (CME) path, which simnoc -heatmap draws.
+func TestRunAppMatchesSeparateMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	if p := smallMoldyn(); p.Regular || p.TimingIters != 3 || len(p.Nests) != 6 {
+		t.Fatalf("moldyn: regular %v, %d timing iterations, %d nests; want irregular with 3 and 6",
+			p.Regular, p.TimingIters, len(p.Nests))
+	}
+	moldynT1 := func() *loop.Program {
+		p := smallMoldyn()
+		p.TimingIters = 1
+		return p
+	}
+	mxm := func() *loop.Program { return workloads.MustNew("mxm", 1) }
+	oracle := DefaultVariant(cache.Private)
+	oracle.Oracle = true
+	cases := []struct {
+		name string
+		prog func() *loop.Program
+		v    Variant
+	}{
+		{"moldyn/private", smallMoldyn, DefaultVariant(cache.Private)},
+		{"moldyn/shared", smallMoldyn, DefaultVariant(cache.SharedSNUCA)},
+		{"moldyn/private-oracle", smallMoldyn, oracle},
+		{"moldyn-T1/shared", moldynT1, DefaultVariant(cache.SharedSNUCA)},
+		{"mxm/private", mxm, DefaultVariant(cache.Private)},
+		{"mxm/shared", mxm, DefaultVariant(cache.SharedSNUCA)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, gotTr := RunAppTraffic(c.prog(), c.v)
+			want, wantTr := runAppSeparate(c.prog(), c.v)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("metrics\n got %+v\nwant %+v", got, want)
+			}
+			if !reflect.DeepEqual(gotTr, wantTr) {
+				t.Error("per-node traffic differs from the separate machines'")
+			}
+		})
+	}
+}

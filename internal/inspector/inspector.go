@@ -138,3 +138,39 @@ func RunBaseline(sys *sim.System, p *loop.Program) []sim.ProgramResult {
 	def := sys.DefaultScheduleFor(p)
 	return sys.RunTiming(p, func(int) *sim.Schedule { return def })
 }
+
+// Evaluate runs both sides of the inspector–executor comparison: the
+// baseline (RunBaseline) on sys and the inspected run (Run). At one
+// timing iteration the inspected run simulates only the profiled
+// iteration 0, which runs the default schedule and so is the
+// baseline's iteration 0: Evaluate simulates it once, and both sides
+// end on sys. When executor iterations follow (TimingIters > 1) the
+// inspected run gets a fresh machine of its own. Evaluate returns the
+// baseline's per-iteration results, the inspected Result and the
+// machine that ran it; the results equal those of RunBaseline and Run
+// on two fresh machines.
+func Evaluate(sys *sim.System, p *loop.Program, mapper *core.Mapper, ov OverheadModel) (baseline []sim.ProgramResult, res *Result, exec *sim.System) {
+	if p.TimingIters > 1 {
+		exec = sim.New(sys.Config())
+		return RunBaseline(sys, p), Run(exec, p, mapper, ov), exec
+	}
+	res = Run(sys, p, mapper, ov)
+	return res.Results[:1:1], res, sys
+}
+
+// Compare simulates p under the default round-robin schedule and under
+// the location-aware one, starting on the fresh machine sys, and
+// returns both cycle totals and the machine whose statistics describe
+// the location-aware run. sched is the compiled schedule; nil means p
+// needs the inspector, which Evaluate runs with mapper and ov. A
+// compiled schedule runs after the baseline on sys, Reset to a cold
+// machine. The cycles equal what two fresh machines compute.
+func Compare(sys *sim.System, p *loop.Program, sched *sim.Schedule, mapper *core.Mapper, ov OverheadModel) (defCycles, laCycles int64, exec *sim.System) {
+	if sched == nil {
+		base, r, exec := Evaluate(sys, p, mapper, ov)
+		return sim.TotalCycles(base), r.TotalCycles(), exec
+	}
+	defCycles = sim.TotalCycles(RunBaseline(sys, p))
+	sys.Reset()
+	return defCycles, sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched })), sys
+}

@@ -1,6 +1,8 @@
 package inspector
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"locmap/internal/affinity"
@@ -155,5 +157,58 @@ func TestSharedRunBuildsCAI(t *testing.T) {
 	}
 	if mass == 0 {
 		t.Error("shared inspection should record cache affinity")
+	}
+}
+
+// TestEvaluateMatchesSeparateMachines: Evaluate answers exactly what
+// RunBaseline and Run compute on two fresh machines — baseline results,
+// the inspected Result, and the executor machine's statistics — at one
+// timing iteration and at three, under both LLC organizations. At one
+// iteration it simulates the default schedule once, on sys, which then
+// holds a single iteration's traffic; at three the inspected run gets
+// its own machine.
+func TestEvaluateMatchesSeparateMachines(t *testing.T) {
+	for _, org := range []cache.Organization{cache.Private, cache.SharedSNUCA} {
+		for _, iters := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v/T%d", org, iters), func(t *testing.T) {
+				cfg := sim.DefaultConfig()
+				cfg.LLCOrg = org
+				p := irregularProgram(2)
+				p.TimingIters = iters
+				mapper := func() *core.Mapper { return core.NewMapper(core.Config{Mesh: cfg.Mesh}) }
+
+				sys := sim.New(cfg)
+				base, res, exec := Evaluate(sys, p, mapper(), DefaultOverhead())
+
+				sysD := sim.New(cfg)
+				wantBase := RunBaseline(sysD, p)
+				sysL := sim.New(cfg)
+				wantRes := Run(sysL, p, mapper(), DefaultOverhead())
+
+				if !reflect.DeepEqual(base, wantBase) {
+					t.Errorf("baseline: %d cycles, separate machine %d", sim.TotalCycles(base), sim.TotalCycles(wantBase))
+				}
+				if !reflect.DeepEqual(res, wantRes) {
+					t.Errorf("inspected run: %d cycles, separate machine %d", res.TotalCycles(), wantRes.TotalCycles())
+				}
+				if sys.Stats() != sysD.Stats() || !reflect.DeepEqual(sys.LegSummaries(), sysD.LegSummaries()) {
+					t.Errorf("baseline machine stats %+v, separate machine %+v", sys.Stats(), sysD.Stats())
+				}
+				if exec.Stats() != sysL.Stats() || !reflect.DeepEqual(exec.LegSummaries(), sysL.LegSummaries()) ||
+					!reflect.DeepEqual(exec.NodeTraffic(), sysL.NodeTraffic()) {
+					t.Errorf("executor machine stats %+v, separate machine %+v", exec.Stats(), sysL.Stats())
+				}
+				if (exec == sys) != (iters == 1) {
+					t.Errorf("T=%d: executor shares the baseline machine = %v", iters, exec == sys)
+				}
+				if iters == 1 {
+					once := sim.New(cfg)
+					once.RunProgram(p, once.DefaultScheduleFor(p))
+					if sys.Stats() != once.Stats() {
+						t.Errorf("T=1 simulated more than one default iteration: %+v, one iteration %+v", sys.Stats(), once.Stats())
+					}
+				}
+			})
+		}
 	}
 }

@@ -871,8 +871,14 @@ func telemetryFrom(st sim.Stats, legs []sim.LegSummary) SimTelemetry {
 	return tel
 }
 
-// simulate compiles the request and verifies the schedule on the
-// simulator, mirroring cmd/locmap's -run path.
+// simulate compiles the request and compares the default round-robin
+// schedule with the location-aware one through inspector.Compare,
+// which runs both on one machine and shares an inspector program's
+// profiled default iteration 0 with the baseline at one timing
+// iteration; cmd/locmap's -run path does the same. The answer equals
+// what two fresh machines compute, and the telemetry is the
+// location-aware run's. /v1/simulate, background verification and
+// optimize's verification children all simulate here.
 func simulate(req *SimulateRequest) (*SimResult, error) {
 	cfg, opts, res, err := req.compileBound()
 	if err != nil {
@@ -882,26 +888,17 @@ func simulate(req *SimulateRequest) (*SimResult, error) {
 	if req.TimingIters > 0 {
 		p.TimingIters = req.TimingIters
 	}
-	sysD := sim.New(cfg)
-	defCycles := sim.TotalCycles(inspector.RunBaseline(sysD, p))
-	var laCycles int64
-	var tel SimTelemetry
+	sched := res.Schedule
 	if res.NeedsInspector {
-		sys := sim.New(cfg)
-		mapper := core.NewMapper(opts.Mapper)
-		laCycles = inspector.Run(sys, p, mapper, inspector.DefaultOverhead()).TotalCycles()
-		tel = telemetryFrom(sys.Stats(), sys.LegSummaries())
-	} else {
-		sys := sim.New(cfg)
-		laCycles = sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return res.Schedule }))
-		tel = telemetryFrom(sys.Stats(), sys.LegSummaries())
+		sched = nil // the inspector maps every nest at run time
 	}
+	defCycles, laCycles, sys := inspector.Compare(sim.New(cfg), p, sched, core.NewMapper(opts.Mapper), inspector.DefaultOverhead())
 	return &SimResult{
 		Plan:           planFromResult(res),
 		DefaultCycles:  defCycles,
 		LocmapCycles:   laCycles,
 		ImprovementPct: stats.PctReduction(float64(defCycles), float64(laCycles)),
-		Telemetry:      tel,
+		Telemetry:      telemetryFrom(sys.Stats(), sys.LegSummaries()),
 	}, nil
 }
 

@@ -221,7 +221,10 @@ func (s *System) Sets(n *loop.Nest) []loop.IterSet {
 	return n.IterationSets(s.cfg.IterSetFrac)
 }
 
-// Reset clears all microarchitectural state and statistics.
+// Reset clears all microarchitectural state and statistics: the machine
+// then runs exactly as a fresh New(s.Config()) would, without
+// reallocating its caches. The address map is not touched, so state a
+// map carries (knl.Map's first-touch placement) survives a Reset.
 func (s *System) Reset() {
 	s.net.Reset()
 	s.llc.Reset()
