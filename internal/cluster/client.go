@@ -9,20 +9,21 @@ import (
 	"net/http"
 	"net/url"
 	"time"
-
-	"locmap/internal/store"
 )
 
 // PlanPath is the peer-API route prefix for plan entries; the entry's
-// fingerprint is appended as the final path element. Both the minimal
-// NewKVHandler and locmapd's server mount it, so a Client can talk to
-// either.
+// fingerprint is appended as the final path element. locmapd's server
+// mounts it:
+//
+//	GET    /v1/cluster/plan/{fingerprint}  -> 200 PlanDoc | 404
+//	PUT    /v1/cluster/plan/{fingerprint}  <- PlanDoc, -> 200 PutResult
+//	DELETE /v1/cluster/plan/{fingerprint}  -> 204
 const PlanPath = "/v1/cluster/plan/"
 
-// PlanDoc is the wire form of a store.Entry. Payload is raw plan
+// PlanDoc is the wire form of one plan-cache entry. Payload is raw plan
 // bytes (base64 in JSON, per encoding/json convention). On PUT,
-// Upgrade selects the tier-lifecycle write (store.KV.Upgrade) instead
-// of a plain refresh.
+// Upgrade selects the tier-lifecycle write (plancache.Cache.Upgrade)
+// instead of a plain refresh.
 type PlanDoc struct {
 	Payload []byte `json:"payload"`
 	Tier    string `json:"tier,omitempty"`
@@ -31,26 +32,23 @@ type PlanDoc struct {
 
 // PutResult reports what a peer write did.
 type PutResult struct {
-	// Inserted is true when the write created the key (mirrors
-	// store.KV.Put's return; a PUT with Upgrade set reports
-	// !present through the same field).
+	// Inserted is true when the write created the key; a PUT with
+	// Upgrade set reports !present through the same field.
 	Inserted bool `json:"inserted"`
 }
 
-// Client is a store.KV backed by one peer's plan cache over HTTP.
-// Every operation is best-effort with the configured timeout: a
-// network or server failure reads as a miss on Get and a no-op on
-// writes — cluster peers are an optimization, never a dependency.
-// The optional OnError callback observes those swallowed failures
-// (locmapd counts them as peer errors).
+// Client reads and writes one peer's plan cache over HTTP. Every
+// operation is bounded by the configured timeout. A read tells a miss
+// from a peer failure; a write is best-effort — a failure is a no-op
+// that the optional OnError callback observes (locmapd counts it as a
+// peer error). Cluster peers are an optimization, never a dependency.
 type Client struct {
 	base    string
 	hc      *http.Client
 	timeout time.Duration
 
-	// OnError, if set, is called with the operation name ("get",
-	// "put", "delete") and the underlying error whenever a remote
-	// operation is swallowed into a miss/no-op.
+	// OnError, if set, is called with the operation name ("put") and
+	// the underlying error whenever a write is swallowed into a no-op.
 	OnError func(op string, err error)
 }
 
@@ -76,53 +74,50 @@ func (c *Client) planURL(key string) string {
 	return c.base + PlanPath + url.PathEscape(key)
 }
 
-func (c *Client) fail(op string, err error) {
-	if c.OnError != nil {
-		c.OnError(op, err)
-	}
-}
-
 // GetE fetches the entry stored under key on the peer, distinguishing
 // a genuine miss (nil error, ok false) from a peer failure (non-nil
 // error) — locmapd uses the distinction to decide between proxying to
 // the owner and degrading to local compute.
-func (c *Client) GetE(ctx context.Context, key string) (store.Entry, bool, error) {
+func (c *Client) GetE(ctx context.Context, key string) (PlanDoc, bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.planURL(key), nil)
 	if err != nil {
-		return store.Entry{}, false, err
+		return PlanDoc{}, false, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return store.Entry{}, false, err
+		return PlanDoc{}, false, err
 	}
 	defer drain(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var doc PlanDoc
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc); err != nil {
-			return store.Entry{}, false, fmt.Errorf("cluster: decode plan doc: %w", err)
+			return PlanDoc{}, false, fmt.Errorf("cluster: decode plan doc: %w", err)
 		}
-		return store.Entry{Payload: doc.Payload, Tier: doc.Tier}, true, nil
+		return doc, true, nil
 	case http.StatusNotFound:
-		return store.Entry{}, false, nil
+		return PlanDoc{}, false, nil
 	default:
-		return store.Entry{}, false, fmt.Errorf("cluster: peer returned %s", resp.Status)
+		return PlanDoc{}, false, fmt.Errorf("cluster: peer returned %s", resp.Status)
 	}
 }
 
-// Get implements store.KV: a peer failure reads as a miss.
-func (c *Client) Get(key string) (store.Entry, bool) {
-	e, ok, err := c.GetE(context.Background(), key)
+// Put stores doc under key on the peer, reporting whether a new key
+// was inserted. A peer failure is passed to OnError("put") and
+// reported as no insertion.
+func (c *Client) Put(key string, doc PlanDoc) bool {
+	res, err := c.put(key, doc)
 	if err != nil {
-		c.fail("get", err)
-		return store.Entry{}, false
+		if c.OnError != nil {
+			c.OnError("put", err)
+		}
+		return false
 	}
-	return e, ok
+	return res.Inserted
 }
 
-// put performs the shared PUT for Put and Upgrade.
 func (c *Client) put(key string, doc PlanDoc) (PutResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
@@ -148,51 +143,6 @@ func (c *Client) put(key string, doc PlanDoc) (PutResult, error) {
 		return PutResult{}, fmt.Errorf("cluster: decode put result: %w", err)
 	}
 	return res, nil
-}
-
-// Put implements store.KV: stores e under key on the peer, reporting
-// whether a new key was inserted. A peer failure is a no-op reported
-// as no insertion.
-func (c *Client) Put(key string, e store.Entry) bool {
-	res, err := c.put(key, PlanDoc{Payload: e.Payload, Tier: e.Tier})
-	if err != nil {
-		c.fail("put", err)
-		return false
-	}
-	return res.Inserted
-}
-
-// Upgrade implements store.KV: the tier-lifecycle write, reporting
-// whether the key was present. A peer failure is a no-op reported as
-// not present.
-func (c *Client) Upgrade(key string, e store.Entry) bool {
-	res, err := c.put(key, PlanDoc{Payload: e.Payload, Tier: e.Tier, Upgrade: true})
-	if err != nil {
-		c.fail("put", err)
-		return false
-	}
-	return !res.Inserted
-}
-
-// Delete implements store.KV: removes key on the peer; failures are
-// no-ops.
-func (c *Client) Delete(key string) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.planURL(key), nil)
-	if err != nil {
-		c.fail("delete", err)
-		return
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.fail("delete", err)
-		return
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusNotFound {
-		c.fail("delete", fmt.Errorf("cluster: peer returned %s", resp.Status))
-	}
 }
 
 // drain discards the rest of a response body and closes it so the

@@ -1,7 +1,7 @@
 // Package cluster gives locmapd fingerprint-routed cluster mode: a
 // consistent-hash ring that assigns every canonical fingerprint to an
-// owning node, and a remote store.KV that reads and writes a peer's
-// plan cache over HTTP.
+// owning node, the wire shapes of the peer plan API, and a Client that
+// reads and writes a peer's plan cache through that API over HTTP.
 //
 // Membership is static — the operator passes the same peer list to
 // every node — and routing is deterministic: all nodes agree on the

@@ -4,11 +4,10 @@
 // cached, a repeated request skips the whole affinity-estimation +
 // mapping + balancing pipeline and is answered from memory.
 //
-// The cache is the policy half of a policy/storage split: this package
-// owns sharding, LRU recency, capacity eviction, the tier lifecycle
-// and the hit/miss counters, while the entry bytes live behind the
-// store.KV interface (an in-process store.Memory by default; NewOver
-// accepts any backend). Keys are fingerprints of everything that
+// The cache is a sharded LRU that owns its entries: each shard's LRU
+// node holds the plan bytes and their serving tier, and the shard
+// keeps the recency order, capacity eviction, tier-upgrade and
+// hit/miss counters. Keys are fingerprints of everything that
 // determines the plan: the canonicalized loop-nest source (token
 // stream — whitespace and comments do not change the key), the
 // symbolic parameters (order-independent), the mesh and region
@@ -26,7 +25,6 @@ import (
 
 	"locmap/internal/fingerprint"
 	"locmap/internal/lang"
-	"locmap/internal/store"
 )
 
 // Spec is everything that determines a plan's content. Fingerprint
@@ -138,10 +136,8 @@ func hashCoords(fp *fingerprint.Hasher, tag string, cs [][2]int) {
 const numShards = 16
 
 // Cache is a sharded LRU of serialized plans, bounded by a total entry
-// count. The shards hold recency order and counters; the bytes live in
-// the backing store.KV. All methods are safe for concurrent use.
+// count. All methods are safe for concurrent use.
 type Cache struct {
-	kv     store.KV
 	shards [numShards]shard
 }
 
@@ -156,30 +152,23 @@ type shard struct {
 	tierUpgrades uint64
 }
 
-// entry is a shard's LRU bookkeeping node; the payload and tier for
-// its key live in the backing KV.
+// entry is a shard's LRU node: the key and the cache's own copy of its
+// payload and tier.
 type entry struct {
-	key string
+	key     string
+	payload []byte
+	tier    string
 }
 
 // New builds a cache holding at most capacity entries in total
 // (rounded up to a multiple of the shard count; capacity < 1 gets a
-// minimal one-entry-per-shard cache), backed by a private in-process
-// store.
+// minimal one-entry-per-shard cache).
 func New(capacity int) *Cache {
-	return NewOver(store.NewMemory(), capacity)
-}
-
-// NewOver is New with an explicit backing store. The cache assumes
-// exclusive ownership: entries it evicts are Deleted from kv, and an
-// entry present in the LRU but missing from kv (a backend that lost
-// data) is dropped and served as a miss.
-func NewOver(kv store.KV, capacity int) *Cache {
 	per := (capacity + numShards - 1) / numShards
 	if per < 1 {
 		per = 1
 	}
-	c := &Cache{kv: kv}
+	c := &Cache{}
 	for i := range c.shards {
 		c.shards[i] = shard{
 			ll:       list.New(),
@@ -194,6 +183,14 @@ func (c *Cache) shardFor(key string) *shard {
 	f := fnv.New32a()
 	f.Write([]byte(key))
 	return &c.shards[f.Sum32()&(numShards-1)]
+}
+
+// clone copies b so cached bytes are never aliased by callers in
+// either direction.
+func clone(b []byte) []byte {
+	cp := make([]byte, len(b))
+	copy(cp, b)
+	return cp
 }
 
 // Entry is a cached value plus its confidence tier (the serving tier
@@ -221,17 +218,10 @@ func (c *Cache) GetEntry(key string) (Entry, bool) {
 		s.misses++
 		return Entry{}, false
 	}
-	se, ok := c.kv.Get(key)
-	if !ok {
-		// The backend lost the bytes; drop the stale LRU node.
-		s.ll.Remove(el)
-		delete(s.items, key)
-		s.misses++
-		return Entry{}, false
-	}
 	s.hits++
 	s.ll.MoveToFront(el)
-	return Entry{Payload: se.Payload, Tier: se.Tier}, true
+	e := el.Value.(*entry)
+	return Entry{Payload: clone(e.payload), Tier: e.tier}, true
 }
 
 // Put stores a copy of val under key with no tier tag; see PutTier.
@@ -249,14 +239,7 @@ func (c *Cache) PutTier(key string, val []byte, tier string) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c.kv.Put(key, store.Entry{Payload: val, Tier: tier})
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		return false
-	}
-	s.items[key] = s.ll.PushFront(&entry{key: key})
-	c.evictOverCapacityLocked(s)
-	return true
+	return s.setLocked(key, val, tier)
 }
 
 // Upgrade replaces an existing entry's payload and tier in place —
@@ -269,19 +252,35 @@ func (c *Cache) Upgrade(key string, val []byte, tier string) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c.kv.Upgrade(key, store.Entry{Payload: val, Tier: tier})
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		s.tierUpgrades++
-		return true
+	if s.setLocked(key, val, tier) {
+		return false
 	}
-	s.items[key] = s.ll.PushFront(&entry{key: key})
-	c.evictOverCapacityLocked(s)
-	return false
+	s.tierUpgrades++
+	return true
 }
 
-// Delete removes key from the cache and its backing store. Deleting an
-// absent key is a no-op.
+// setLocked stores a copy of val under key tagged with tier as the
+// shard's most recent entry, evicting over capacity, and reports
+// whether the key was new. Caller holds s.mu.
+func (s *shard) setLocked(key string, val []byte, tier string) bool {
+	if el, ok := s.items[key]; ok {
+		e := el.Value.(*entry)
+		e.payload, e.tier = clone(val), tier
+		s.ll.MoveToFront(el)
+		return false
+	}
+	s.items[key] = s.ll.PushFront(&entry{key: key, payload: clone(val), tier: tier})
+	for s.ll.Len() > s.capacity {
+		oldest := s.ll.Back()
+		s.ll.Remove(oldest)
+		delete(s.items, oldest.Value.(*entry).key)
+		s.evictions++
+	}
+	return true
+}
+
+// Delete removes key from the cache. Deleting an absent key is a
+// no-op.
 func (c *Cache) Delete(key string) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -289,20 +288,6 @@ func (c *Cache) Delete(key string) {
 	if el, ok := s.items[key]; ok {
 		s.ll.Remove(el)
 		delete(s.items, key)
-	}
-	c.kv.Delete(key)
-}
-
-// evictOverCapacityLocked drops the shard's least-recently-used
-// entries until it is back within capacity. Caller holds s.mu.
-func (c *Cache) evictOverCapacityLocked(s *shard) {
-	for s.ll.Len() > s.capacity {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		key := oldest.Value.(*entry).key
-		delete(s.items, key)
-		c.kv.Delete(key)
-		s.evictions++
 	}
 }
 

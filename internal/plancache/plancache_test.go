@@ -153,6 +153,35 @@ func TestPutReportsInsertion(t *testing.T) {
 	}
 }
 
+// TestDelete: a deleted key misses, deleting an absent key is a no-op,
+// and a Put after Delete is a fresh insertion.
+func TestDelete(t *testing.T) {
+	c := New(8)
+	c.PutTier("k", []byte("v"), "estimate")
+	c.Delete("k")
+	if _, ok := c.GetEntry("k"); ok {
+		t.Error("deleted key still present")
+	}
+	c.Delete("never-existed")
+	if n := c.Len(); n != 0 {
+		t.Errorf("Len after deletes = %d, want 0", n)
+	}
+	if !c.Put("k", []byte("v2")) {
+		t.Error("Put after Delete reported no insertion")
+	}
+}
+
+// TestEmptyUntieredEntry: an empty payload with no tier is a hit, not
+// a miss, and comes back empty and untiered.
+func TestEmptyUntieredEntry(t *testing.T) {
+	c := New(8)
+	c.PutTier("k", nil, "")
+	e, ok := c.GetEntry("k")
+	if !ok || len(e.Payload) != 0 || e.Tier != "" {
+		t.Fatalf("empty entry round-trip = %+v, %v", e, ok)
+	}
+}
+
 func TestCacheUpdateRefreshesValue(t *testing.T) {
 	c := New(8)
 	c.Put("k", []byte("v1"))

@@ -343,14 +343,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// execBatchJob is the queue's executor: the plan cache answers
-// first (read-through — synchronous traffic warms batch work), and
-// misses run on the shared bounded worker pool via runJob, which
-// caches the payload on success (batch work warms synchronous
-// traffic). The jobqueue marks cache-served results Cached.
-// Background "verify" jobs bypass both cache directions: their
-// fingerprint namespace is never cached, and the verdict reaches the
-// cache through Upgrade inside runVerify instead.
+// execBatchJob is the queue's executor: for the kinds cachedTier
+// names, the plan cache answers first (read-through — synchronous
+// traffic warms batch work), and misses run on the shared bounded
+// worker pool via runJob, which caches the payload on success (batch
+// work warms synchronous traffic). The jobqueue marks cache-served
+// results Cached. Every other kind bypasses both cache directions:
+// a verify verdict reaches the cache through Upgrade inside runVerify
+// instead.
 func (s *Server) execBatchJob(ctx context.Context, j *jobqueue.Job) ([]byte, bool, error) {
 	if j.Kind == "optimize" {
 		// Optimize jobs wait for child simulations that may run on this
@@ -365,19 +365,19 @@ func (s *Server) execBatchJob(ctx context.Context, j *jobqueue.Job) ([]byte, boo
 		payload, err := s.runOptimize(ctx, j, &req)
 		return payload, false, err
 	}
-	cacheKey := j.Fingerprint
-	if j.Kind == "verify" || j.Kind == "remap" {
-		// Verification and remap jobs manage their own cache/session
-		// state; their fingerprint namespaces are never plan-cached.
-		cacheKey = ""
-	} else if payload, ok := s.cache.Get(j.Fingerprint); ok {
-		return payload, true, nil
+	tier, cacheable := cachedTier(j.Kind)
+	cacheKey := ""
+	if cacheable {
+		if payload, ok := s.cache.Get(j.Fingerprint); ok {
+			return payload, true, nil
+		}
+		cacheKey = j.Fingerprint
 	}
 	job, err := s.batchJobFunc(j)
 	if err != nil {
 		return nil, false, err
 	}
-	payload, apiErr := s.runJob(ctx, cacheKey, tierForKind(j.Kind), job)
+	payload, apiErr := s.runJob(ctx, cacheKey, tier, job)
 	if apiErr != nil {
 		return nil, false, fmt.Errorf("%s: %s", apiErr.code, apiErr.msg)
 	}

@@ -293,6 +293,59 @@ func TestBatchDurableRestart(t *testing.T) {
 	}
 }
 
+// TestReplayWarmsOnlyCachedKinds: journal replay warms the plan cache
+// with exactly what the live path caches. An optimize search's simulate
+// children are warmed; its own result, which the live path never
+// caches, stays out, so the peer plan API cannot serve it.
+func TestReplayWarmsOnlyCachedKinds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real verification simulations")
+	}
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, JournalDir: dir, RequestTimeout: 2 * time.Minute}
+	s1, ts1 := newTestServer(t, cfg)
+	ack := submitOptimize(t, ts1.URL, OptimizeRequest{
+		CommonRequest: CommonRequest{Source: fastSrc, Seed: 4},
+		Candidates:    48,
+		TopK:          1,
+	})
+	jr, _ := pollOptimizeJob(t, ts1.URL, ack.JobID, 2*time.Minute)
+	decodeOptimizeResult(t, jr)
+	if _, ok := s1.cache.Get(ack.Fingerprint); ok {
+		t.Fatal("the live path cached an optimize result")
+	}
+	done, _ := s1.Queue().List(jobqueue.ListOptions{State: jobqueue.StateDone, Limit: 100})
+	children := map[string]bool{}
+	for _, j := range done {
+		if j.Kind == "simulate" {
+			children[j.Fingerprint] = true
+		}
+	}
+	if len(children) == 0 {
+		t.Fatal("optimize ran no simulate children")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Close(ctx); err != nil {
+		t.Fatalf("close first server: %v", err)
+	}
+
+	s2, ts2 := newTestServer(t, cfg)
+	if code, body := getJSON(t, ts2.URL+"/v1/cluster/plan/"+ack.Fingerprint); code != http.StatusNotFound {
+		t.Errorf("peer GET of the optimize fingerprint after restart = %d %s, want 404", code, body)
+	}
+	for fp := range children {
+		if _, ok := s2.cache.Get(fp); !ok {
+			t.Errorf("simulate child %s not warmed by replay", fp)
+		}
+	}
+	ms := httptest.NewServer(s2.MetricsHandler())
+	defer ms.Close()
+	if v, ok := scrape(t, ms.URL).Value("locmapd_plancache_replay_warms_total", nil); !ok || v != float64(len(children)) {
+		t.Errorf("replay warms = %g, %v; want %d (the simulate children)", v, ok, len(children))
+	}
+}
+
 // TestBatchMetricsConsistency: the jobqueue metric families agree with
 // the work actually performed — including the dedup counter when a
 // batch carries same-fingerprint twins.

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
 	"locmap/internal/cluster"
 	"locmap/internal/metrics"
-	"locmap/internal/store"
 )
 
 // Cluster mode: every node carries the same static peer list, a
@@ -165,9 +165,13 @@ func (s *Server) clusterRespond(w http.ResponseWriter, r *http.Request, req any,
 	client := cs.clients[owner]
 
 	entry, ok, err := client.GetE(r.Context(), key)
+	if err == nil && ok && !peerTierOK(entry.Tier) {
+		err = fmt.Errorf("owner's plan has unknown tier %q", entry.Tier)
+	}
 	if err != nil {
-		// The owner is unreachable: degrade to local compute and do
-		// not burn another timeout trying to publish to it.
+		// The owner is unreachable or misbehaving: degrade to local
+		// compute and do not burn another timeout trying to publish
+		// to it.
 		s.peerErr("get", err)
 		ci.Degraded = true
 		return false, ci
@@ -210,9 +214,10 @@ func (s *Server) clusterRespond(w http.ResponseWriter, r *http.Request, req any,
 }
 
 // forward POSTs the request body to the owner's matching endpoint and
-// decodes its response envelope. timeout is the caller-facing request
-// timeout — a forwarded compute may legitimately take far longer than
-// a cache probe.
+// decodes its response envelope, rejecting a tier outside
+// servingTiers. timeout is the caller-facing request timeout — a
+// forwarded compute may legitimately take far longer than a cache
+// probe.
 func (cs *clusterState) forward(ctx context.Context, base, endpoint string, req any, timeout time.Duration) (*MapResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -242,6 +247,9 @@ func (cs *clusterState) forward(ctx context.Context, base, endpoint string, req 
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&mr); err != nil {
 		return nil, fmt.Errorf("decode owner response: %w", err)
 	}
+	if !peerTierOK(mr.Tier) {
+		return nil, fmt.Errorf("owner answered with unknown tier %q", mr.Tier)
+	}
 	return &mr, nil
 }
 
@@ -253,9 +261,16 @@ func (s *Server) clusterPublish(ci *ClusterInfo, key string, payload []byte, tie
 	if ci == nil || !ci.publish {
 		return
 	}
-	client := s.cluster.clients[ci.Owner]
-	client.Put(key, store.Entry{Payload: payload, Tier: tier})
+	s.cluster.clients[ci.Owner].Put(key, cluster.PlanDoc{Payload: payload, Tier: tier})
 	ci.Published = true
+}
+
+// peerTierOK reports whether a tier a peer sent may be stored or
+// served: empty (an untiered entry) or one of servingTiers. Any other
+// value would reach clients and mint a new locmapd_tier_served_total
+// series.
+func peerTierOK(tier string) bool {
+	return tier == "" || slices.Contains(servingTiers, tier)
 }
 
 // Peer plan API — the owner-side surface clusterRespond's probes and
@@ -277,6 +292,11 @@ func (s *Server) handleClusterPlanGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterPlanPut(w http.ResponseWriter, r *http.Request) {
 	var doc cluster.PlanDoc
 	if !s.decode(w, r, &doc) {
+		return
+	}
+	if !peerTierOK(doc.Tier) {
+		s.writeError(w, r, errf(http.StatusBadRequest, ErrInvalidRequest,
+			"invalid request: unknown tier %q", doc.Tier))
 		return
 	}
 	key := r.PathValue("fingerprint")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"locmap/internal/cluster"
+	"locmap/internal/metrics"
 )
 
 // newClusterPair boots two servers that know each other as peers. The
@@ -220,6 +224,109 @@ func TestClusterPlanAPI(t *testing.T) {
 	resp, _ = httpDo(t, http.MethodGet, base)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("get after delete = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClusterRejectsUnknownPeerTiers: a tier outside servingTiers
+// never reaches a client or a metric label. A peer PUT carrying one is
+// refused with 400 and stores nothing; a remote hit or a forwarded
+// answer carrying one counts as a peer failure and degrades to local
+// compute.
+func TestClusterRejectsUnknownPeerTiers(t *testing.T) {
+	_, ts := newTestServer(t, Config{JournalDir: t.TempDir()})
+	base := ts.URL + "/v1/cluster/plan/abcd"
+	resp, body := postDoc(t, base, `{"payload":"eyJ4IjoxfQ==","tier":"bogus-1"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("put with unknown tier = %d %s, want 400", resp.StatusCode, body)
+	}
+	if code := decodeErrorResponse(t, body).Code; code != ErrInvalidRequest {
+		t.Errorf("put with unknown tier code = %q, want %q", code, ErrInvalidRequest)
+	}
+	if resp, _ := httpDo(t, http.MethodGet, base); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("get after rejected put = %d, want 404", resp.StatusCode)
+	}
+
+	// A misbehaving owner: its cache answers hitKey at tier bogus-1,
+	// misses everything else, and answers every forward at bogus-2.
+	var hitKey string
+	owner := http.NewServeMux()
+	owner.HandleFunc("GET /v1/cluster/plan/{fp}", func(w http.ResponseWriter, r *http.Request) {
+		if r.PathValue("fp") != hitKey {
+			http.NotFound(w, r)
+			return
+		}
+		json.NewEncoder(w).Encode(cluster.PlanDoc{Payload: []byte(`{"x":1}`), Tier: "bogus-1"})
+	})
+	owner.HandleFunc("PUT /v1/cluster/plan/{fp}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(cluster.PutResult{Inserted: true})
+	})
+	owner.HandleFunc("POST /v1/map", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(MapResponse{Tier: "bogus-2", Plan: json.RawMessage(`{"x":1}`)})
+	})
+	// The peer starts serving once hitKey is set; its URL is known
+	// from the listener before that.
+	peer := httptest.NewUnstartedServer(owner)
+	defer peer.Close()
+	peerURL := "http://" + peer.Listener.Addr().String()
+
+	// Nothing dials this node, so its own entry is only a ring member.
+	self := "http://self.test:1"
+	s, err := New(Config{
+		JournalDir: t.TempDir(),
+		Peers:      []string{self, peerURL},
+		NodeID:     self,
+		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close(context.Background())
+	node := httptest.NewServer(s.Handler())
+	defer node.Close()
+
+	// Two sources the misbehaving peer owns: one remote hit, one
+	// forward.
+	var srcs []string
+	for n := 1024; len(srcs) < 2; n += 64 {
+		src := fmt.Sprintf("param N = %d\narray A[N]\narray B[N]\nparallel for i = 0..N work 32 {\n  A[i] = B[i]\n}\n", n)
+		req := mapReq(src)
+		sp, err := req.spec("map")
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := sp.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.cluster.ring.Owner(key) == peerURL {
+			if hitKey == "" {
+				hitKey = key
+			}
+			srcs = append(srcs, src)
+		}
+	}
+	peer.Start()
+	for i, op := range []string{"get", "proxy"} {
+		resp, body := postJSON(t, node.URL+"/v1/map", mapReq(srcs[i]))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s case: map = %d %s", op, resp.StatusCode, body)
+		}
+		mr := decodeMapResponse(t, body)
+		if mr.Tier != TierStatic || mr.Cached || mr.Cluster == nil || !mr.Cluster.Degraded {
+			t.Errorf("%s case: tier=%q cached=%v cluster=%+v, want a degraded static compute",
+				op, mr.Tier, mr.Cached, mr.Cluster)
+		}
+		if got := s.clusterPeerErr[op].Value(); got != 1 {
+			t.Errorf("peer errors{op=%q} = %d, want 1", op, got)
+		}
+	}
+	ms := httptest.NewServer(s.MetricsHandler())
+	defer ms.Close()
+	exp := scrape(t, ms.URL)
+	for _, tier := range []string{"bogus-1", "bogus-2"} {
+		if v, ok := exp.Value(tierServedName, metrics.Labels{"tier": tier}); ok {
+			t.Errorf("%s{tier=%q} = %g, want no series", tierServedName, tier, v)
+		}
 	}
 }
 

@@ -49,12 +49,19 @@ func (s *Server) observeTier(tier string) {
 	s.reg.Counter(tierServedName, tierServedHelp, metrics.Labels{"tier": tier}).Inc()
 }
 
-// tierForKind maps a batch-job kind to the tier its payload carries.
-func tierForKind(kind string) string {
-	if kind == "simulate" {
-		return TierSim
+// cachedTier is the one place that decides which batch-job kinds the
+// plan cache holds: it maps map and simulate jobs to the tier their
+// payload is cached under. Every other kind reports false: optimize
+// results are memoized by the queue alone, and verify and remap jobs
+// reach the cache and sessions through their own writes.
+func cachedTier(kind string) (string, bool) {
+	switch kind {
+	case "map":
+		return TierStatic, true
+	case "simulate":
+		return TierSim, true
 	}
-	return TierStatic
+	return "", false
 }
 
 // EstimateResult is the payload of every fast-tier response: the
@@ -136,93 +143,27 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.serveEstimate(w, r, &req, "estimate")
 }
 
-// serveEstimate is serve()'s fast-tier counterpart: same validate /
-// cache / worker-pool skeleton, but results live under the "estimate"
-// fingerprint namespace (shared between /v1/estimate and fast-tier
-// /v1/map), and every response at tier "estimate" makes sure a
-// background verification job exists for it. endpoint only labels the
-// cache metrics.
+// serveEstimate answers req from the fast tier through serve, under
+// the "estimate" fingerprint namespace that /v1/estimate and fast-tier
+// /v1/map share. Every answer at tier "estimate", cached or fresh,
+// makes sure a background verification exists for it: a cached one's
+// verify job may have been dropped (queue full), or its result may
+// have expired after the entry was evicted and re-estimated. On a
+// remote hit or forward the owner runs the verify lifecycle for its
+// own cache entry, so this node does not enqueue one.
 func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, req *MapRequest, endpoint string) {
-	if err := req.Validate(); err != nil {
-		s.writeError(w, r, errf(http.StatusBadRequest, ErrInvalidRequest,
-			"invalid request: %v", err))
-		return
-	}
-	spec, err := req.spec("estimate")
-	if err != nil {
-		s.writeError(w, r, errf(http.StatusBadRequest, ErrInvalidRequest,
-			"invalid request: %v", err))
-		return
-	}
-	key, err := spec.Fingerprint()
-	if err != nil {
-		s.writeError(w, r, errf(http.StatusBadRequest, ErrInvalidSource,
-			"invalid source: %v", err))
-		return
-	}
-	info := infoFromContext(r.Context())
-	if info != nil {
-		info.fingerprint = key
-	}
-	resp := MapResponse{
-		RequestID:   RequestIDFromContext(r.Context()),
-		Fingerprint: key,
-		Resolved:    req.resolved(),
-	}
-	cacheReqs := func(result string) {
-		s.reg.Counter("locmapd_cache_requests_total",
-			"Cacheable requests by endpoint and plan-cache outcome.",
-			metrics.Labels{"endpoint": endpoint, "result": result}).Inc()
-	}
-	if entry, ok := s.cache.GetEntry(key); ok {
-		cacheReqs("hit")
-		if info != nil {
-			info.cached = true
-		}
-		tier := entry.Tier
-		if tier == "" {
-			tier = estimate.TierEstimate
-		}
-		if tier == estimate.TierEstimate {
-			// Still unverified: the verify job may have been dropped
-			// (queue full) or its result may have expired after the
-			// entry was evicted and re-estimated. ensureVerify
-			// re-applies a finished verdict or re-enqueues; either
-			// way a later poll observes the upgrade.
-			s.ensureVerify(RequestIDFromContext(r.Context()), req, key)
-		}
-		resp.Cached = true
-		resp.Tier = tier
-		resp.Plan = entry.Payload
-		s.observeTier(tier)
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	cacheReqs("miss")
-	// On a remote hit or forward the owner runs the verify lifecycle
-	// for its own cache entry; this node does not enqueue one.
-	handled, ci := s.clusterRespond(w, r, req, endpoint, key, &resp)
-	if handled {
-		return
-	}
-	payload, apiErr := s.runJob(r.Context(), key, estimate.TierEstimate, func() ([]byte, error) {
+	requestID := RequestIDFromContext(r.Context())
+	s.serve(w, r, req, endpoint, "estimate", estimate.TierEstimate, func() ([]byte, error) {
 		er, err := computeEstimate(req)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(er)
+	}, func(key, tier string) {
+		if tier == estimate.TierEstimate {
+			s.ensureVerify(requestID, req, key)
+		}
 	})
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
-	s.clusterPublish(ci, key, payload, estimate.TierEstimate)
-	resp.Cluster = ci
-	s.ensureVerify(RequestIDFromContext(r.Context()), req, key)
-	resp.Tier = estimate.TierEstimate
-	resp.Plan = payload
-	s.observeTier(estimate.TierEstimate)
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // ensureVerify guarantees a verification exists for the fast-tier

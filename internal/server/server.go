@@ -346,8 +346,9 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	// The batch queue executes through execBatchJob (plan-cache
-	// read-through, then the shared runJob pool) and warms the cache
-	// from journal-replayed results before serving any traffic.
+	// read-through, then the shared runJob pool) and, before serving
+	// any traffic, warms the cache from the journal-replayed results
+	// of the kinds the live path caches.
 	replayWarms := s.reg.Counter("locmapd_plancache_replay_warms_total",
 		"Plan-cache entries warmed from journal-replayed batch results.", nil)
 	queue, err := jobqueue.Open(jobqueue.Config{
@@ -357,7 +358,7 @@ func New(cfg Config) (*Server, error) {
 		QueueLimit: cfg.QueueLimit,
 		Exec:       s.execBatchJob,
 		Replayed: func(j *jobqueue.Job) {
-			if s.cache.PutTier(j.Fingerprint, j.Result, tierForKind(j.Kind)) {
+			if tier, ok := cachedTier(j.Kind); ok && s.cache.PutTier(j.Fingerprint, j.Result, tier) {
 				replayWarms.Inc()
 			}
 		},
@@ -661,10 +662,15 @@ type apiRequest interface {
 }
 
 // serve is the shared handler body: validate, consult the cache, run
-// the job on a worker if needed, respond. tier tags fresh results in
-// the plan cache and the response envelope ("static" for compile-only
-// maps, "sim" for simulations); a cached entry keeps its stored tag.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, req apiRequest, kind, tier string, job func() ([]byte, error)) {
+// the job on a worker if needed, respond. endpoint labels the cache
+// metrics and names the owner's route a cluster forward posts to; kind
+// namespaces the fingerprint. tier tags fresh results in the plan
+// cache and the response envelope, and stands in for the tier of an
+// entry stored without one; a cached entry otherwise keeps its stored
+// tag. answered, if not nil, runs with the key and tier of every
+// answer this node serves from its own cache or pipeline, just before
+// the response is written.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, req apiRequest, endpoint, kind, tier string, job func() ([]byte, error), answered func(key, tier string)) {
 	if err := req.Validate(); err != nil {
 		s.writeError(w, r, errf(http.StatusBadRequest, ErrInvalidRequest,
 			"invalid request: %v", err))
@@ -694,7 +700,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req apiRequest, k
 	cacheReqs := func(result string) {
 		s.reg.Counter("locmapd_cache_requests_total",
 			"Cacheable requests by endpoint and plan-cache outcome.",
-			metrics.Labels{"endpoint": kind, "result": result}).Inc()
+			metrics.Labels{"endpoint": endpoint, "result": result}).Inc()
 	}
 	if entry, ok := s.cache.GetEntry(key); ok {
 		cacheReqs("hit")
@@ -707,25 +713,26 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req apiRequest, k
 			resp.Tier = tier // pre-tiering entry (old journal replay)
 		}
 		resp.Plan = entry.Payload
-		s.observeTier(resp.Tier)
-		s.writeJSON(w, http.StatusOK, resp)
-		return
+	} else {
+		cacheReqs("miss")
+		handled, ci := s.clusterRespond(w, r, req, endpoint, key, &resp)
+		if handled {
+			return
+		}
+		payload, apiErr := s.runJob(r.Context(), key, tier, job)
+		if apiErr != nil {
+			s.writeError(w, r, apiErr)
+			return
+		}
+		s.clusterPublish(ci, key, payload, tier)
+		resp.Cluster = ci
+		resp.Tier = tier
+		resp.Plan = payload
 	}
-	cacheReqs("miss")
-	handled, ci := s.clusterRespond(w, r, req, kind, key, &resp)
-	if handled {
-		return
+	if answered != nil {
+		answered(key, resp.Tier)
 	}
-	payload, apiErr := s.runJob(r.Context(), key, tier, job)
-	if apiErr != nil {
-		s.writeError(w, r, apiErr)
-		return
-	}
-	s.clusterPublish(ci, key, payload, tier)
-	resp.Cluster = ci
-	resp.Tier = tier
-	resp.Plan = payload
-	s.observeTier(tier)
+	s.observeTier(resp.Tier)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -741,13 +748,13 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.serveEstimate(w, r, &req, "map")
 		return
 	}
-	s.serve(w, r, &req, "map", TierStatic, func() ([]byte, error) {
+	s.serve(w, r, &req, "map", "map", TierStatic, func() ([]byte, error) {
 		plan, err := compilePlan(&req)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(plan)
-	})
+	}, nil)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -755,14 +762,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serve(w, r, &req, "simulate", TierSim, func() ([]byte, error) {
+	s.serve(w, r, &req, "simulate", "simulate", TierSim, func() ([]byte, error) {
 		res, err := simulate(&req)
 		if err != nil {
 			return nil, err
 		}
 		s.observeSim(res)
 		return json.Marshal(res)
-	})
+	}, nil)
 }
 
 // observeSim folds one executed (non-cached) simulation's telemetry

@@ -1,54 +1,12 @@
-// Package store defines locmapd's storage interfaces: a flat KV of
-// tiered plan entries (the plan cache's backing store) and an
-// append-only Journal with snapshot compaction (the batch queue's
-// durability layer). The interfaces are deliberately small — the
-// policies that make them useful (LRU sharding and fingerprinting in
-// internal/plancache, lifecycle replay in internal/jobqueue) live in
-// their consumers, so swapping a backend (in-process memory, the
-// fsync'd JSONL file pair, a cluster peer reached over HTTP) never
-// touches policy code.
+// Package store is locmapd's durability layer: the Journal interface,
+// an append-only record log with replay and snapshot compaction, and
+// FileJournal, its fsync'd JSONL implementation. The batch queue
+// (internal/jobqueue) journals every job transition through it; the
+// record schema and the lifecycle replay live in the consumer, so the
+// store never interprets what it persists.
 //
-// Every implementation must be safe for concurrent use. The
-// conformance suite in store/conformancetest pins the shared
-// semantics; every backend — including remote ones in other
-// packages — is expected to pass it.
+// Implementations must be safe for concurrent use.
 package store
-
-// Entry is one stored value plus its confidence tier (the serving
-// tier of a cached plan: "static", "sim", "estimate", "verified" or
-// "refined"; empty for untiered entries).
-type Entry struct {
-	Payload []byte
-	Tier    string
-}
-
-// KV is a flat key-value store of plan entries.
-//
-// Implementations copy Payload on both Put and Get: bytes handed in
-// can be mutated by the caller afterwards, and bytes handed out can
-// be mutated without corrupting the store. Remote implementations are
-// best-effort — a network failure reads as a miss on Get and a no-op
-// on the write side, never a panic or a hang beyond the
-// implementation's timeout.
-type KV interface {
-	// Get returns the entry stored under key.
-	Get(key string) (Entry, bool)
-
-	// Put stores e under key, refreshing any existing entry. It
-	// reports whether a new key was inserted (false when an existing
-	// entry was refreshed).
-	Put(key string, e Entry) bool
-
-	// Upgrade replaces an existing entry's payload and tier in place —
-	// the tier-lifecycle write, promoting e.g. an "estimate" entry to
-	// "verified" under the same key. It reports whether the key was
-	// present; when it was not, the entry is inserted anyway (the
-	// upgraded value is never thrown away) but Upgrade returns false.
-	Upgrade(key string, e Entry) bool
-
-	// Delete removes key. Deleting an absent key is a no-op.
-	Delete(key string)
-}
 
 // Journal is an append-only record log with replay and snapshot
 // compaction. Records are opaque byte slices, one per line; the

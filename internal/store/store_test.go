@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"log/slog"
@@ -10,36 +11,117 @@ import (
 	"testing"
 
 	"locmap/internal/store"
-	"locmap/internal/store/conformancetest"
 )
 
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func TestMemoryConformance(t *testing.T) {
-	conformancetest.KV(t, func(t *testing.T) store.KV {
-		return store.NewMemory()
-	})
+func openJournal(t *testing.T) *store.FileJournal {
+	t.Helper()
+	fj, err := store.OpenFileJournal(t.TempDir(), discardLogger())
+	if err != nil {
+		t.Fatalf("OpenFileJournal: %v", err)
+	}
+	return fj
 }
 
-func TestMemJournalConformance(t *testing.T) {
-	conformancetest.Journal(t, func(t *testing.T) store.Journal {
-		return store.NewMemJournal()
-	})
-}
-
+// TestFileJournalConformance pins the Journal contract: append order,
+// snapshot-first replay, atomic compaction and aborting replay. Records
+// are lines, so they must not contain newlines.
 func TestFileJournalConformance(t *testing.T) {
-	conformancetest.Journal(t, func(t *testing.T) store.Journal {
-		fj, err := store.OpenFileJournal(t.TempDir(), discardLogger())
-		if err != nil {
-			t.Fatalf("OpenFileJournal: %v", err)
+	wantRecs := func(t *testing.T, j store.Journal, want ...string) {
+		t.Helper()
+		got := replayAll(t, j)
+		if len(got) != len(want) {
+			t.Fatalf("replayed %d records %q, want %d %q", len(got), got, len(want), want)
 		}
-		return fj
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("record %d = %q, want %q", i, got[i], want[i])
+			}
+		}
+	}
+
+	t.Run("EmptyReplaysNothing", func(t *testing.T) {
+		j := openJournal(t)
+		defer j.Close()
+		wantRecs(t, j)
+		if s := j.Size(); s != 0 {
+			t.Errorf("Size of empty journal = %d", s)
+		}
+	})
+
+	t.Run("AppendReplayOrder", func(t *testing.T) {
+		j := openJournal(t)
+		defer j.Close()
+		for _, r := range []string{`{"n":1}`, `{"n":2}`, `{"n":3}`} {
+			if err := j.Append([]byte(r)); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		}
+		if s := j.Size(); s <= 0 {
+			t.Errorf("Size after appends = %d, want > 0", s)
+		}
+		wantRecs(t, j, `{"n":1}`, `{"n":2}`, `{"n":3}`)
+	})
+
+	t.Run("CompactReplacesState", func(t *testing.T) {
+		j := openJournal(t)
+		defer j.Close()
+		j.Append([]byte(`{"old":1}`))
+		j.Append([]byte(`{"old":2}`))
+		if err := j.Compact(func(emit func([]byte) error) error {
+			return emit([]byte(`{"snap":true}`))
+		}); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		if s := j.Size(); s != 0 {
+			t.Errorf("Size after compaction = %d, want 0", s)
+		}
+		j.Append([]byte(`{"new":3}`))
+		// Snapshot records replay first, then post-compaction appends.
+		wantRecs(t, j, `{"snap":true}`, `{"new":3}`)
+	})
+
+	t.Run("CompactWriteErrorKeepsState", func(t *testing.T) {
+		j := openJournal(t)
+		defer j.Close()
+		j.Append([]byte(`{"keep":1}`))
+		boom := errors.New("snapshot writer exploded")
+		if err := j.Compact(func(emit func([]byte) error) error {
+			emit([]byte(`{"partial":true}`))
+			return boom
+		}); !errors.Is(err, boom) {
+			t.Fatalf("Compact error = %v, want %v", err, boom)
+		}
+		wantRecs(t, j, `{"keep":1}`)
+	})
+
+	t.Run("ApplyErrorAborts", func(t *testing.T) {
+		j := openJournal(t)
+		defer j.Close()
+		j.Append([]byte(`{"n":1}`))
+		j.Append([]byte(`{"n":2}`))
+		boom := errors.New("consumer rejected the record")
+		seen := 0
+		err := j.Replay(func(rec []byte) error {
+			seen++
+			if bytes.Contains(rec, []byte("1")) {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("Replay error = %v, want wrapped %v", err, boom)
+		}
+		if seen != 1 {
+			t.Errorf("apply called %d times after the first error, want 1", seen)
+		}
 	})
 }
 
-// replayAll reopens nothing — it just drains j into a string slice.
+// replayAll drains j into a string slice.
 func replayAll(t *testing.T, j store.Journal) []string {
 	t.Helper()
 	var got []string
