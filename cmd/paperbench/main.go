@@ -3,8 +3,10 @@
 // series the paper reports; EXPERIMENTS.md records a reference run.
 //
 // Simulations run as fingerprinted jobs on a shared concurrent runner:
-// -j bounds the worker pool, and any job requested by several figures
-// (the default-variant runs shared by Figs. 2/7/8/13/14/15) simulates
+// -j bounds the worker pool, which counts jobs, not simulations (a job
+// runs its ideal-NoC bound and its compile-time location-aware run
+// beside its baseline), and any job requested by several figures (the
+// default-variant runs shared by Figs. 2/7/8/13/14/15) simulates
 // exactly once per invocation. Tables are byte-identical at any -j.
 //
 // Usage:
@@ -104,7 +106,7 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	appsFlag := flag.String("apps", "", "comma-separated benchmark subset")
 	scale := flag.Int("scale", 1, "workload input scale")
-	jobs := flag.Int("j", runtime.NumCPU(), "max concurrently simulated jobs")
+	jobs := flag.Int("j", runtime.NumCPU(), "max concurrently executing jobs")
 	quiet := flag.Bool("q", false, "suppress per-job progress lines")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")

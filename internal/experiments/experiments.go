@@ -30,8 +30,9 @@ type Options struct {
 	Apps []string
 	// Log receives progress lines (nil = quiet).
 	Log io.Writer
-	// Jobs bounds the number of concurrently simulated jobs when a
-	// figure builds its own runner (0 = runtime.NumCPU()).
+	// Jobs bounds the number of concurrently executing jobs when a
+	// figure builds its own runner (0 = runtime.NumCPU()); a job may
+	// run two simulations at once.
 	Jobs int
 	// Runner, when non-nil, executes and memoizes this call's jobs.
 	// Sharing one Runner across figure calls (as cmd/paperbench does)
@@ -96,7 +97,7 @@ func (o Options) logJob(j Job, m AppMetrics) {
 	case KindHW:
 		o.logf("  %-10s %-7v hw-placement: %d cycles", j.App, j.Variant.Cfg.LLCOrg, m.LACycles)
 	case KindKNL:
-		o.logf("  %-10s knl %v opt=%v scale=%d: %d cycles", j.App, j.KNLMode, j.KNLOpt, j.scale(), m.DefCycles)
+		o.logf("  %-10s knl %v scale=%d: orig=%d opt=%d cycles", j.App, j.KNLMode, j.scale(), m.DefCycles, m.LACycles)
 	case KindMulti:
 		for i, name := range j.Mix {
 			o.logf("  %v %-10s multi: %.1f%%", j.Variant.Cfg.LLCOrg, name, m.MixRed(i))
@@ -266,23 +267,21 @@ type Traffic struct {
 // traffic of the two runs its metrics report — the data behind simnoc's
 // heatmaps.
 //
-// The irregular path goes through inspector.Evaluate, which at one
-// timing iteration simulates the profiled default-schedule iteration
-// once for the baseline and the inspector; the oracle and CME paths
-// run the baseline, Reset the machine, and run the location-aware
-// schedule on it. The numbers equal those of separate fresh machines.
+// A run that does not wait for the baseline proceeds beside it, on a
+// machine of its own: the ideal-NoC bound, and on the compile-time
+// path the location-aware run, whose CME schedule reads only the
+// config and the address map. The irregular path goes through
+// inspector.Evaluate, which at one timing iteration simulates the
+// profiled default-schedule iteration once for the baseline and the
+// inspector; the oracle path profiles from the baseline's iteration 0,
+// Resets the machine and runs the location-aware schedule on it. The
+// numbers equal those of separate fresh machines.
 func RunAppTraffic(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 	shared := v.Cfg.LLCOrg == cache.SharedSNUCA
+	irregular := !v.Oracle && !p.Regular
+	compiled := !v.Oracle && p.Regular
 
 	m := AppMetrics{Name: p.Name, Regular: p.Regular}
-
-	// Ideal network bound.
-	if v.WithIdeal {
-		icfg := v.Cfg
-		icfg.NoC.Ideal = true
-		sysI := sim.New(icfg)
-		m.IdealCycles = sim.TotalCycles(inspector.RunBaseline(sysI, p))
-	}
 
 	mcfg := v.Mapper
 	if mcfg.Mesh == nil {
@@ -290,12 +289,39 @@ func RunAppTraffic(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 	}
 	mapper := core.NewMapper(mcfg)
 
+	sys := sim.New(v.Cfg)
+	la := sys // the machine that runs the location-aware schedule
+	var est [][]affinity.SetAffinity
+	var sched *sim.Schedule
+	if compiled {
+		// Compile-time path: CME-estimated affinities, known before
+		// the baseline runs; the schedule gets a machine of its own.
+		est = newEstimator(p, sys, false).EstimateProgram(p)
+		sched, m.FracMoved = scheduleFromAffinities(p, mapper, shared, est)
+		la = sim.New(v.Cfg)
+	}
+
+	// Runs that wait for nothing go beside the baseline. The goroutine
+	// writes only ideal and laRes, read after side.Wait.
+	var side sync.WaitGroup
+	var ideal int64
+	var laRes []sim.ProgramResult
+	if v.WithIdeal || compiled {
+		side.Add(1)
+		go func(exec *sim.System) {
+			defer side.Done()
+			if v.WithIdeal {
+				ideal = idealCycles(p, v.Cfg)
+			}
+			if compiled {
+				laRes = exec.RunTiming(p, func(int) *sim.Schedule { return sched })
+			}
+		}(la)
+	}
+
 	// Default mapping. For an irregular program Evaluate runs the
 	// baseline and the inspected run, and returns the machine that ran
 	// the latter.
-	irregular := !v.Oracle && !p.Regular
-	sys := sim.New(v.Cfg)
-	la := sys // the machine that runs the location-aware schedule
 	var defRes []sim.ProgramResult
 	var r *inspector.Result
 	if irregular {
@@ -308,7 +334,8 @@ func RunAppTraffic(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 	m.LLCMissRate = sys.Stats().LLCMissRate()
 	tr := Traffic{Default: sys.NodeTraffic()}
 
-	if irregular {
+	switch {
+	case irregular:
 		// Irregular path: inspector–executor with overhead accounting.
 		m.LACycles = r.TotalCycles()
 		m.LANet = r.NetLatency()
@@ -320,31 +347,44 @@ func RunAppTraffic(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 		}
 		m.FracMoved = frac / nn
 		m.MAIErr, m.CAIErr = affinityError(r.PerNest, r.Results[len(r.Results)-1], p, la, shared)
-	} else {
-		var est [][]affinity.SetAffinity
-		if v.Oracle {
-			// Perfect MAI/CAI/CME: the affinities the baseline's cold
-			// iteration 0 observed (the compiler knowing the truth);
-			// every timing iteration then runs under the optimized
-			// schedule, with zero overhead.
-			est = make([][]affinity.SetAffinity, len(p.Nests))
-			for i, n := range p.Nests {
-				est[i] = inspector.AffinitiesFromObs(defRes[0].NestObs[i], sys.Sets(n), shared)
-			}
-		} else {
-			// Compile-time path: CME-estimated affinities.
-			est = newEstimator(p, sys, false).EstimateProgram(p)
+	case v.Oracle:
+		// Perfect MAI/CAI/CME: the affinities the baseline's cold
+		// iteration 0 observed (the compiler knowing the truth); every
+		// timing iteration then runs under the optimized schedule, with
+		// zero overhead.
+		obs := make([][]affinity.SetAffinity, len(p.Nests))
+		for i, n := range p.Nests {
+			obs[i] = inspector.AffinitiesFromObs(defRes[0].NestObs[i], sys.Sets(n), shared)
 		}
-		sched, frac := scheduleFromAffinities(p, mapper, shared, est)
+		oracle, frac := scheduleFromAffinities(p, mapper, shared, obs)
 		m.FracMoved = frac
 		sys.Reset()
-		res := sys.RunTiming(p, func(int) *sim.Schedule { return sched })
-		m.LACycles = sim.TotalCycles(res)
-		m.LANet = sim.TotalNetLatency(res)
-		m.MAIErr, m.CAIErr = affinityError(est, res[len(res)-1], p, sys, shared)
+		m.setLocAware(obs, sys.RunTiming(p, func(int) *sim.Schedule { return oracle }), p, sys, shared)
+	}
+	side.Wait()
+	m.IdealCycles = ideal
+	if compiled {
+		m.setLocAware(est, laRes, p, la, shared)
 	}
 	tr.LocAware = la.NodeTraffic()
 	return m, tr
+}
+
+// setLocAware records the location-aware run of the oracle or
+// compile-time path, which ran on sys: its cycles and network latency,
+// and the error of the affinities its schedule came from against what
+// its last iteration observed.
+func (m *AppMetrics) setLocAware(est [][]affinity.SetAffinity, res []sim.ProgramResult, p *loop.Program, sys *sim.System, shared bool) {
+	m.LACycles = sim.TotalCycles(res)
+	m.LANet = sim.TotalNetLatency(res)
+	m.MAIErr, m.CAIErr = affinityError(est, res[len(res)-1], p, sys, shared)
+}
+
+// idealCycles measures the zero-latency-NoC bound: the default mapping
+// on a fresh machine whose network is ideal.
+func idealCycles(p *loop.Program, cfg sim.Config) int64 {
+	cfg.NoC.Ideal = true
+	return sim.TotalCycles(inspector.RunBaseline(sim.New(cfg), p))
 }
 
 // RunAll evaluates a set of benchmarks under one variant, simulating

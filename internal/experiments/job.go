@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"locmap/internal/baselines"
 	"locmap/internal/fingerprint"
@@ -29,8 +30,9 @@ const (
 	// (Figure 14). LACycles/LANet hold the HW-schedule measurements;
 	// no baseline is run.
 	KindHW
-	// KindKNL measures one KNL cluster-mode configuration (Figures
-	// 16/17): DefCycles holds the measured cycles. The Variant is
+	// KindKNL measures one application in one KNL cluster mode
+	// (Figures 16/17): DefCycles holds the default schedule's cycles
+	// and LACycles the location-aware schedule's. The Variant is
 	// ignored — the machine comes from knl.Config(KNLMode).
 	KindKNL
 	// KindMulti co-runs Job.Mix on the Variant's machine (the §5
@@ -50,10 +52,8 @@ type Job struct {
 	Scale   int
 	Variant Variant
 
-	// KNLMode and KNLOpt select the cluster mode and whether the
-	// location-aware schedule is applied (KindKNL only).
+	// KNLMode selects the cluster mode (KindKNL only).
 	KNLMode knl.Mode
-	KNLOpt  bool
 
 	// Mix lists the co-running applications, at most four, in row
 	// order (KindMulti only).
@@ -98,7 +98,10 @@ func (j Job) Fingerprint() string {
 
 	if j.Kind == KindKNL {
 		fp.Int(int64(j.KNLMode))
-		fp.Bool(j.KNLOpt)
+		// The slot of the optimized flag a KNL job once carried: a job
+		// now measures both schedules and keys as the unoptimized
+		// job did.
+		fp.Bool(false)
 		return fp.Sum()
 	}
 
@@ -169,7 +172,8 @@ func (j Job) run() AppMetrics {
 	case KindHW:
 		return runHWJob(j.App, j.scale(), j.Variant)
 	case KindKNL:
-		return AppMetrics{Name: j.App, DefCycles: knlExec(j.App, j.scale(), j.KNLMode, j.KNLOpt)}
+		def, opt := knlExec(workloads.MustNew(j.App, j.scale()), j.KNLMode)
+		return AppMetrics{Name: j.App, DefCycles: def, LACycles: opt}
 	case KindMulti:
 		return runMultiJob(j.Mix, j.scale(), j.Variant.Cfg)
 	default:
@@ -178,20 +182,27 @@ func (j Job) run() AppMetrics {
 }
 
 // runBaselineJob measures the default mapping alone, plus the
-// zero-latency-NoC bound when requested.
+// zero-latency-NoC bound when requested, which runs beside it on a
+// machine of its own.
 func runBaselineJob(name string, scale int, v Variant) AppMetrics {
 	p := workloads.MustNew(name, scale)
 	m := AppMetrics{Name: name, Regular: p.Regular}
+	var side sync.WaitGroup
+	var ideal int64
+	if v.WithIdeal {
+		side.Add(1)
+		go func() {
+			defer side.Done()
+			ideal = idealCycles(p, v.Cfg)
+		}()
+	}
 	sysD := sim.New(v.Cfg)
 	res := inspector.RunBaseline(sysD, p)
 	m.DefCycles = sim.TotalCycles(res)
 	m.DefNet = sim.TotalNetLatency(res)
 	m.LLCMissRate = sysD.Stats().LLCMissRate()
-	if v.WithIdeal {
-		icfg := v.Cfg
-		icfg.NoC.Ideal = true
-		m.IdealCycles = sim.TotalCycles(inspector.RunBaseline(sim.New(icfg), p))
-	}
+	side.Wait()
+	m.IdealCycles = ideal
 	return m
 }
 

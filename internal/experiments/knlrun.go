@@ -6,20 +6,21 @@ import (
 	"locmap/internal/core"
 	"locmap/internal/inspector"
 	"locmap/internal/knl"
+	"locmap/internal/loop"
 	"locmap/internal/sim"
 	"locmap/internal/stats"
 	"locmap/internal/workloads"
 )
 
-// knlExec measures one application on the KNL-like machine in one cluster
-// mode. When optimized, the location-aware schedule is derived from a
-// profiling pass under the default schedule (the compiler's knowledge)
-// and the measured run executes entirely under it on the same machine,
-// Reset to cold; page placement (SNC-4 first touch) is fixed by the
-// default schedule in both cases, as on the real machine where data is
-// placed on first run.
-func knlExec(name string, scale int, mode knl.Mode, optimized bool) int64 {
-	p := workloads.MustNew(name, scale)
+// knlExec measures a program on the KNL-like machine in one cluster
+// mode and returns the cycles of the default schedule and of the
+// location-aware one, both on one machine. Page placement (SNC-4 first
+// touch) is fixed by the default schedule before either runs, as on
+// the real machine where data is placed on first run. The default
+// run's cold iteration 0 is the profiling pass the location-aware
+// schedule is derived from (the compiler's knowledge), and the
+// measured run then executes entirely under it, Reset to cold.
+func knlExec(p *loop.Program, mode knl.Mode) (def, opt int64) {
 	cfg := knl.Config(mode)
 	cfg.LLCOrg = cache.SharedSNUCA
 	kmap := cfg.AddrMap.(*knl.Map)
@@ -27,56 +28,44 @@ func knlExec(name string, scale int, mode knl.Mode, optimized bool) int64 {
 	// First touch writes the address map every run reads, so it
 	// precedes the first simulation.
 	sys := sim.New(cfg)
-	def := sys.DefaultScheduleFor(p)
-	kmap.FirstTouch(p, def, cfg.IterSetFrac)
+	kmap.FirstTouch(p, sys.DefaultScheduleFor(p), cfg.IterSetFrac)
+	base := inspector.RunBaseline(sys, p)
 
-	if !optimized {
-		return sim.TotalCycles(inspector.RunBaseline(sys, p))
-	}
-
-	// Profile pass → affinities → Algorithm 2 schedule.
-	first := sys.RunProgram(p, def)
+	// Profile → affinities → Algorithm 2 schedule.
 	est := make([][]affinity.SetAffinity, len(p.Nests))
 	for i, n := range p.Nests {
-		est[i] = inspector.AffinitiesFromObs(first.NestObs[i], sys.Sets(n), true)
+		est[i] = inspector.AffinitiesFromObs(base[0].NestObs[i], sys.Sets(n), true)
 	}
 	mapper := core.NewMapper(core.Config{Mesh: cfg.Mesh})
 	sched, _ := scheduleFromAffinities(p, mapper, true, est)
 
 	sys.Reset()
-	return sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched }))
+	return sim.TotalCycles(base), sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched }))
 }
 
-// knlBarCfgs are the five Figure 16 bars, in figure order; the base
-// measurement (original all-to-all) precedes them in each job group.
-var knlBarCfgs = []struct {
-	mode knl.Mode
-	opt  bool
-}{
-	{knl.Quadrant, false},
-	{knl.SNC4, false},
-	{knl.AllToAll, true},
-	{knl.Quadrant, true},
-	{knl.SNC4, true},
-}
+// knlModes are the cluster modes one knlJobs group measures, in job
+// order; the first, all-to-all, is the original configuration every
+// bar compares against.
+var knlModes = []knl.Mode{knl.AllToAll, knl.Quadrant, knl.SNC4}
 
-// knlJobs declares the six measurements for one application at one
-// scale: the original all-to-all base plus the five bars.
+// knlJobs declares one job per cluster mode for one application at one
+// scale.
 func knlJobs(name string, scale int) []Job {
-	jobs := make([]Job, 0, 1+len(knlBarCfgs))
-	jobs = append(jobs, Job{Kind: KindKNL, App: name, Scale: scale, KNLMode: knl.AllToAll})
-	for _, c := range knlBarCfgs {
-		jobs = append(jobs, Job{Kind: KindKNL, App: name, Scale: scale, KNLMode: c.mode, KNLOpt: c.opt})
+	jobs := make([]Job, len(knlModes))
+	for i, mode := range knlModes {
+		jobs[i] = Job{Kind: KindKNL, App: name, Scale: scale, KNLMode: mode}
 	}
 	return jobs
 }
 
-// knlBars folds one knlJobs group's results into the five improvement
-// bars relative to the base measurement.
+// knlBars folds one knlJobs group's results into the five Figure 16
+// bars, each relative to the original all-to-all cycles: the original
+// quadrant and SNC-4 runs, then every mode's optimized run.
 func knlBars(ms []AppMetrics) (bars [5]float64) {
 	base := float64(ms[0].DefCycles)
-	for i := range bars {
-		bars[i] = stats.PctReduction(base, float64(ms[i+1].DefCycles))
+	cycles := [5]int64{ms[1].DefCycles, ms[2].DefCycles, ms[0].LACycles, ms[1].LACycles, ms[2].LACycles}
+	for i, c := range cycles {
+		bars[i] = stats.PctReduction(base, float64(c))
 	}
 	return bars
 }
@@ -96,7 +85,7 @@ func Fig16(o Options) *stats.Table {
 	t := stats.NewTable("Figure 16: KNL cluster modes — exec-time improvement vs original all-to-all (%)", knlCols...)
 	sums := make([][]float64, 5)
 	for i, name := range apps {
-		bars := knlBars(ms[6*i : 6*i+6])
+		bars := knlBars(ms[len(knlModes)*i : len(knlModes)*(i+1)])
 		t.AddRowf(name, bars[0], bars[1], bars[2], bars[3], bars[4])
 		for k, b := range bars {
 			sums[k] = append(sums[k], b)
@@ -130,7 +119,7 @@ func Fig17(o Options) *stats.Table {
 	for _, scale := range scales {
 		sums := make([][]float64, 5)
 		for _, name := range apps {
-			bars := knlBars(ms[6*g : 6*g+6])
+			bars := knlBars(ms[len(knlModes)*g : len(knlModes)*(g+1)])
 			g++
 			t.AddRowf(scale, name, bars[0], bars[1], bars[2], bars[3], bars[4])
 			for k, b := range bars {

@@ -8,18 +8,24 @@ import (
 	"locmap/internal/cache"
 	"locmap/internal/core"
 	"locmap/internal/inspector"
+	"locmap/internal/knl"
 	"locmap/internal/loop"
 	"locmap/internal/sim"
 	"locmap/internal/workloads"
 )
 
 // runAppSeparate is RunAppTraffic's reference: every simulation on its
-// own fresh machine — the baseline, the oracle's profiling pass, and
-// the location-aware run.
+// own fresh machine, one after another — the ideal-NoC bound, the
+// baseline, the oracle's profiling pass, and the location-aware run.
 func runAppSeparate(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 	shared := v.Cfg.LLCOrg == cache.SharedSNUCA
 	m := AppMetrics{Name: p.Name, Regular: p.Regular}
 
+	if v.WithIdeal {
+		icfg := v.Cfg
+		icfg.NoC.Ideal = true
+		m.IdealCycles = sim.TotalCycles(inspector.RunBaseline(sim.New(icfg), p))
+	}
 	sysD := sim.New(v.Cfg)
 	defRes := inspector.RunBaseline(sysD, p)
 	m.DefCycles = sim.TotalCycles(defRes)
@@ -82,10 +88,13 @@ func smallMoldyn() *loop.Program {
 // golden tables miss (their apps are regular): a cut-down moldyn, with
 // three timing iterations, through the inspector under both LLC
 // organizations and through the oracle, and at one timing iteration,
-// where the baseline and the inspector share their default iteration.
-// RunAppTraffic reuses one machine where it can; its metrics and
-// traffic must equal the separate-machine reference exactly. The mxm cases check the per-node
-// traffic of the regular (CME) path, which simnoc -heatmap draws.
+// where the baseline and the inspector share their default iteration
+// (also with the ideal-NoC bound beside them). RunAppTraffic reuses one machine where it can and runs the
+// ideal-NoC bound and the CME path's location-aware run beside the
+// baseline; its metrics and traffic must equal the separate-machine
+// reference exactly. The mxm cases check the per-node traffic of the
+// regular (CME) path, which simnoc -heatmap draws, with and without
+// the ideal bound.
 func TestRunAppMatchesSeparateMachines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -102,6 +111,11 @@ func TestRunAppMatchesSeparateMachines(t *testing.T) {
 	mxm := func() *loop.Program { return workloads.MustNew("mxm", 1) }
 	oracle := DefaultVariant(cache.Private)
 	oracle.Oracle = true
+	withIdeal := func(org cache.Organization) Variant {
+		v := DefaultVariant(org)
+		v.WithIdeal = true
+		return v
+	}
 	cases := []struct {
 		name string
 		prog func() *loop.Program
@@ -111,18 +125,78 @@ func TestRunAppMatchesSeparateMachines(t *testing.T) {
 		{"moldyn/shared", smallMoldyn, DefaultVariant(cache.SharedSNUCA)},
 		{"moldyn/private-oracle", smallMoldyn, oracle},
 		{"moldyn-T1/shared", moldynT1, DefaultVariant(cache.SharedSNUCA)},
+		{"moldyn-T1/shared-ideal", moldynT1, withIdeal(cache.SharedSNUCA)},
 		{"mxm/private", mxm, DefaultVariant(cache.Private)},
 		{"mxm/shared", mxm, DefaultVariant(cache.SharedSNUCA)},
+		{"mxm/private-ideal", mxm, withIdeal(cache.Private)},
+		{"mxm/shared-ideal", mxm, withIdeal(cache.SharedSNUCA)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			got, gotTr := RunAppTraffic(c.prog(), c.v)
+			if c.v.WithIdeal && got.IdealCycles <= 0 {
+				t.Errorf("ideal cycles = %d, want a measured bound", got.IdealCycles)
+			}
 			want, wantTr := runAppSeparate(c.prog(), c.v)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("metrics\n got %+v\nwant %+v", got, want)
 			}
 			if !reflect.DeepEqual(gotTr, wantTr) {
 				t.Error("per-node traffic differs from the separate machines'")
+			}
+		})
+	}
+}
+
+// knlSeparate is knlExec's reference: the two jobs a cluster mode
+// used to take, each on a fresh first-touched machine — the default
+// schedule's run, and a profiling pass, Reset, then the location-aware
+// run.
+func knlSeparate(prog func() *loop.Program, mode knl.Mode) (def, opt int64) {
+	machine := func(p *loop.Program) (*sim.System, sim.Config) {
+		cfg := knl.Config(mode)
+		cfg.LLCOrg = cache.SharedSNUCA
+		sys := sim.New(cfg)
+		cfg.AddrMap.(*knl.Map).FirstTouch(p, sys.DefaultScheduleFor(p), cfg.IterSetFrac)
+		return sys, cfg
+	}
+
+	p := prog()
+	sys, _ := machine(p)
+	def = sim.TotalCycles(inspector.RunBaseline(sys, p))
+
+	p = prog()
+	sys, cfg := machine(p)
+	first := sys.RunProgram(p, sys.DefaultScheduleFor(p))
+	est := make([][]affinity.SetAffinity, len(p.Nests))
+	for i, n := range p.Nests {
+		est[i] = inspector.AffinitiesFromObs(first.NestObs[i], sys.Sets(n), true)
+	}
+	sched, _ := scheduleFromAffinities(p, core.NewMapper(core.Config{Mesh: cfg.Mesh}), true, est)
+	sys.Reset()
+	opt = sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched }))
+	return def, opt
+}
+
+// TestKNLExecMatchesSeparateJobs: one KNL job profiles from its own
+// baseline's iteration 0 and Resets for the location-aware run; both
+// cycle counts must equal the two separate first-touched jobs', under
+// all-to-all and under SNC-4, whose first touch pins pages to
+// quadrants. The cut-down moldyn has three timing iterations, so a
+// profile taken from a warm iteration would show.
+func TestKNLExecMatchesSeparateJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	for _, mode := range []knl.Mode{knl.AllToAll, knl.SNC4} {
+		t.Run(mode.String(), func(t *testing.T) {
+			def, opt := knlExec(smallMoldyn(), mode)
+			wantDef, wantOpt := knlSeparate(smallMoldyn, mode)
+			if def != wantDef || opt != wantOpt {
+				t.Errorf("knlExec = (%d, %d) cycles, separate jobs = (%d, %d)", def, opt, wantDef, wantOpt)
+			}
+			if def == opt {
+				t.Errorf("default and location-aware runs both took %d cycles; want distinct schedules", def)
 			}
 		})
 	}

@@ -38,8 +38,10 @@ type call struct {
 	m     AppMetrics
 }
 
-// NewRunner builds a runner simulating at most jobs Jobs concurrently
-// (jobs < 1 selects runtime.NumCPU()).
+// NewRunner builds a runner executing at most jobs Jobs concurrently
+// (jobs < 1 selects runtime.NumCPU()). The bound is on jobs, not
+// simulations: a job may run two independent simulations at once
+// (RunAppTraffic's compile-time path and the ideal-NoC bound).
 func NewRunner(jobs int) *Runner {
 	if jobs < 1 {
 		jobs = runtime.NumCPU()

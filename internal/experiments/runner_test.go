@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"locmap/internal/cache"
+	"locmap/internal/knl"
 	"locmap/internal/mem"
 	"locmap/internal/metrics"
 	"locmap/internal/sim"
@@ -81,9 +82,9 @@ func TestJobFingerprintFields(t *testing.T) {
 
 	knlJob := Job{Kind: KindKNL, App: "swim", Scale: 1}
 	distinct("knl", knlJob)
-	knlOpt := knlJob
-	knlOpt.KNLOpt = true
-	distinct("knl-opt", knlOpt)
+	knlMode := knlJob
+	knlMode.KNLMode = knl.SNC4
+	distinct("knl-mode", knlMode)
 
 	multi := Job{Kind: KindMulti, Mix: []string{"swim", "mxm"}, Scale: 1, Variant: DefaultVariant(cache.Private)}
 	distinct("multi", multi)
@@ -200,6 +201,7 @@ func TestTablesByteIdenticalAcrossParallelism(t *testing.T) {
 	}{
 		{"Fig2", Fig2},
 		{"Fig7", Fig7},
+		{"Fig16", Fig16},
 		{"MultiProg", MultiProg},
 	}
 	for _, f := range figs {

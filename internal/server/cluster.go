@@ -151,8 +151,10 @@ func (s *Server) initCluster() error {
 // remote cache hit on the owner, or the whole request proxied there).
 // Otherwise the caller computes locally and attaches the returned
 // ClusterInfo (nil outside cluster mode / for self-owned keys) to its
-// response, calling clusterPublish with it afterwards.
-func (s *Server) clusterRespond(w http.ResponseWriter, r *http.Request, req any, endpoint, key string, resp *MapResponse) (bool, *ClusterInfo) {
+// response, calling clusterPublish with it afterwards. tier is the
+// endpoint's fresh tier: as on a local hit, it stands in for the tier
+// of an owner's entry stored without one.
+func (s *Server) clusterRespond(w http.ResponseWriter, r *http.Request, req any, endpoint, key, tier string, resp *MapResponse) (bool, *ClusterInfo) {
 	cs := s.cluster
 	if cs == nil || r.Header.Get(forwardedHeader) != "" {
 		return false, nil
@@ -187,6 +189,9 @@ func (s *Server) clusterRespond(w http.ResponseWriter, r *http.Request, req any,
 		resp.Cached = true
 		resp.Cluster = ci
 		resp.Tier = entry.Tier
+		if resp.Tier == "" {
+			resp.Tier = tier
+		}
 		resp.Plan = entry.Payload
 		s.observeTier(resp.Tier)
 		s.writeJSON(w, http.StatusOK, *resp)

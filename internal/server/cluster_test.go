@@ -330,6 +330,52 @@ func TestClusterRejectsUnknownPeerTiers(t *testing.T) {
 	}
 }
 
+// TestClusterRemoteHitTiersUntieredEntry: a peer PUT may store an
+// entry without a tier. Served through the other node as a remote hit,
+// it must carry the endpoint's tier, as a local hit of an untiered
+// entry does, and mint no empty-tier series.
+func TestClusterRemoteHitTiersUntieredEntry(t *testing.T) {
+	sa, sb, tsa, tsb := newClusterPair(t)
+	req := mapReq(triadSrc)
+	sp, err := req.spec("map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := sp.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, via, viaSrv := tsa, tsb, sb
+	if sa.cluster.ring.Owner(key) != sa.cluster.self {
+		owner, via, viaSrv = tsb, tsa, sa
+	}
+	if resp, body := postDoc(t, owner.URL+"/v1/cluster/plan/"+key, `{"payload":"eyJ4IjoxfQ=="}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("untiered put = %d %s, want 200", resp.StatusCode, body)
+	}
+
+	resp, body := postJSON(t, via.URL+"/v1/map", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("map via the non-owner = %d %s", resp.StatusCode, body)
+	}
+	mr := decodeMapResponse(t, body)
+	if mr.Tier != TierStatic || !mr.Cached || mr.Cluster == nil || !mr.Cluster.RemoteHit {
+		t.Errorf("tier=%q cached=%v cluster=%+v, want a cached static remote hit", mr.Tier, mr.Cached, mr.Cluster)
+	}
+	if string(mr.Plan) != `{"x":1}` {
+		t.Errorf("plan = %s, want the owner's payload", mr.Plan)
+	}
+
+	ms := httptest.NewServer(viaSrv.MetricsHandler())
+	defer ms.Close()
+	exp := scrape(t, ms.URL)
+	if v, ok := exp.Value(tierServedName, metrics.Labels{"tier": ""}); ok {
+		t.Errorf("%s{tier=\"\"} = %g, want no series", tierServedName, v)
+	}
+	if v, _ := exp.Value(tierServedName, metrics.Labels{"tier": TierStatic}); v != 1 {
+		t.Errorf("%s{tier=%q} = %g, want 1", tierServedName, TierStatic, v)
+	}
+}
+
 func httpDo(t *testing.T, method, url string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, nil)

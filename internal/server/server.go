@@ -715,7 +715,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req apiRequest, e
 		resp.Plan = entry.Payload
 	} else {
 		cacheReqs("miss")
-		handled, ci := s.clusterRespond(w, r, req, endpoint, key, &resp)
+		handled, ci := s.clusterRespond(w, r, req, endpoint, key, tier, &resp)
 		if handled {
 			return
 		}
