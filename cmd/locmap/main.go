@@ -36,7 +36,6 @@ import (
 	"locmap/internal/core"
 	"locmap/internal/estimate"
 	"locmap/internal/inspector"
-	"locmap/internal/lang"
 	"locmap/internal/server"
 	"locmap/internal/sim"
 	"locmap/internal/stats"
@@ -104,7 +103,14 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	res, err := compiler.CompileSource(string(src), compiler.Options{Cfg: cfg, Params: params})
+	// Estimating or simulating needs demo inputs bound to the index
+	// arrays, as on locmapd's estimate and simulate paths; the listing
+	// alone does not.
+	compile := compiler.CompileSource
+	if *doEst || *doRun {
+		compile = compiler.CompileBound
+	}
+	res, err := compile(string(src), compiler.Options{Cfg: cfg, Params: params})
 	if err != nil {
 		return err
 	}
@@ -112,20 +118,11 @@ func run(w io.Writer) error {
 	out.WriteString(res.Listing())
 
 	if *doEst {
-		p := res.Program
-		lang.GenerateIndexData(p, 1, 64) // demo inputs, as the simulate path
-		if err := p.Validate(); err != nil {
-			return err
-		}
 		printEstimate(&out, estimate.New(estimate.Config{Cfg: cfg}).FromResult(res))
 	}
 
 	if *doRun {
 		p := res.Program
-		lang.GenerateIndexData(p, 1, 64) // demo inputs for unbound index arrays
-		if err := p.Validate(); err != nil {
-			return err
-		}
 		// Both schedules on one machine, as locmapd's /v1/simulate.
 		sched := res.Schedule
 		if res.NeedsInspector {

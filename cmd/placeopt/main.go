@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	"locmap/internal/compiler"
-	"locmap/internal/lang"
 	"locmap/internal/placeopt"
 	"locmap/internal/server"
 )
@@ -101,13 +100,9 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := compiler.CompileSource(string(src), compiler.Options{Cfg: cfg, Params: params})
+	// Demo inputs for the index arrays, as on the estimate path.
+	res, err := compiler.CompileBound(string(src), compiler.Options{Cfg: cfg, Params: params})
 	if err != nil {
-		return err
-	}
-	p := res.Program
-	lang.GenerateIndexData(p, 1, 64) // demo inputs, as the estimate path
-	if err := p.Validate(); err != nil {
 		return err
 	}
 
@@ -124,7 +119,7 @@ func run(w io.Writer) error {
 
 	var out strings.Builder
 	fmt.Fprintf(&out, "workload: %s  target: %s mesh, %s regions, %s LLC\n",
-		p.Name, *meshStr, *regStr, llc)
+		res.Program.Name, *meshStr, *regStr, llc)
 	fmt.Fprintf(&out, "evaluated %d placements through the estimate tier\n\n", r.Evaluated)
 	printScored(&out, "default", r.Default)
 	printScored(&out, "best", r.Best)

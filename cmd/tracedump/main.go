@@ -18,9 +18,7 @@ import (
 	"strings"
 
 	"locmap/internal/compiler"
-	"locmap/internal/lang"
 	"locmap/internal/loop"
-	"locmap/internal/mem"
 	"locmap/internal/sim"
 	"locmap/internal/trace"
 	"locmap/internal/workloads"
@@ -70,23 +68,17 @@ func run() error {
 				pm[name] = v
 			}
 		}
-		res, err := compiler.CompileSource(string(text), compiler.Options{Params: pm})
+		res, err := compiler.CompileBound(string(text), compiler.Options{Params: pm})
 		if err != nil {
 			return err
 		}
 		p = res.Program
-		lang.GenerateIndexData(p, 1, 64)
-		if err := p.Validate(); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("pass -app NAME or -src FILE")
 	}
 
 	if *out == "" {
-		cfg := sim.DefaultConfig()
-		amap := mem.NewInterleaved(cfg.PageSize, cfg.L2Line, cfg.Mesh.NumMCs(), cfg.Mesh.NumNodes())
-		fmt.Printf("%s:\n%s", p.Name, trace.Summarize(p, amap))
+		fmt.Printf("%s:\n%s", p.Name, trace.Summarize(p, sim.AddrMapFor(sim.DefaultConfig())))
 		return nil
 	}
 

@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"os"
 
-	"locmap/internal/cache"
-	"locmap/internal/core"
-	"locmap/internal/inspector"
+	"locmap/internal/experiments"
 	"locmap/internal/knl"
-	"locmap/internal/sim"
 	"locmap/internal/stats"
 	"locmap/internal/workloads"
 )
@@ -28,49 +25,28 @@ func main() {
 		os.Exit(1)
 	}
 
-	base := exec(app, knl.AllToAll, false)
+	// One Figure 16 job per cluster mode; each returns the mode's
+	// original (default-schedule) and optimized cycles.
+	modes := knl.Modes()
+	jobs := make([]experiments.Job, len(modes))
+	for i, mode := range modes {
+		jobs[i] = experiments.Job{Kind: experiments.KindKNL, App: app, KNLMode: mode}
+	}
+	ms := experiments.NewRunner(0).Collect(jobs, nil)
+
+	base := ms[0].DefCycles // original all-to-all
 	fmt.Printf("%s on the KNL-like mesh (vs original all-to-all = %d cycles):\n", app, base)
-	for _, mode := range knl.Modes() {
+	for i, mode := range modes {
 		for _, opt := range []bool{false, true} {
 			if mode == knl.AllToAll && !opt {
 				continue
 			}
-			cy := exec(app, mode, opt)
-			tag := "original "
+			cy, tag := ms[i].DefCycles, "original "
 			if opt {
-				tag = "optimized"
+				cy, tag = ms[i].LACycles, "optimized"
 			}
 			fmt.Printf("  %s %-10s %9d cycles  (%+.1f%%)\n",
 				tag, mode, cy, stats.PctReduction(float64(base), float64(cy)))
 		}
 	}
-}
-
-// exec measures one (mode, optimized) configuration.
-func exec(app string, mode knl.Mode, optimized bool) int64 {
-	p := workloads.MustNew(app, 1)
-	cfg := knl.Config(mode)
-	cfg.LLCOrg = cache.SharedSNUCA
-	kmap := cfg.AddrMap.(*knl.Map)
-
-	placer := sim.New(cfg)
-	def := placer.DefaultScheduleFor(p)
-	kmap.FirstTouch(p, def, cfg.IterSetFrac) // SNC-4 page placement
-
-	if !optimized {
-		sys := sim.New(cfg)
-		return sim.TotalCycles(inspector.RunBaseline(sys, p))
-	}
-
-	// Profile once, map with Algorithm 2, then measure.
-	prof := sim.New(cfg)
-	first := prof.RunProgram(p, def)
-	mapper := core.NewMapper(core.Config{Mesh: cfg.Mesh})
-	sched := &sim.Schedule{}
-	for i, n := range p.Nests {
-		sa := inspector.AffinitiesFromObs(first.NestObs[i], prof.Sets(n), true)
-		sched.Assign = append(sched.Assign, mapper.MapShared(sa))
-	}
-	sys := sim.New(cfg)
-	return sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched }))
 }

@@ -85,6 +85,24 @@ func CompileSource(src string, opts Options) (*Result, error) {
 	return CompileProgram(p, opts)
 }
 
+// CompileBound is CompileSource for callers that go on to estimate or
+// simulate the program: it binds deterministic demo inputs to every
+// unbound index array (lang.GenerateIndexData, seed 1, runs of 64) and
+// validates the bound program. A static listing needs neither, and
+// binding allocates an index array per irregular reference, so the
+// plan-only path stays on CompileSource.
+func CompileBound(src string, opts Options) (*Result, error) {
+	res, err := CompileSource(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	lang.GenerateIndexData(res.Program, 1, 64)
+	if err := res.Program.Validate(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // CompileProgram runs the pipeline over an already-built IR program. The
 // program's arrays are laid out (page-aligned) if they are not already.
 //
@@ -160,11 +178,7 @@ func CompileProgram(p *loop.Program, opts Options) (*Result, error) {
 			est.EstimateNest(n)
 		} else {
 			plan.Affinities = est.EstimateNest(n)
-			if shared {
-				plan.Assignment = mapper.MapShared(plan.Affinities)
-			} else {
-				plan.Assignment = mapper.MapPrivate(plan.Affinities)
-			}
+			plan.Assignment = mapper.Map(plan.Affinities, shared)
 			res.Schedule.Assign[len(res.Plans)] = plan.Assignment
 		}
 		res.Plans = append(res.Plans, plan)

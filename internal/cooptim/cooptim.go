@@ -45,8 +45,8 @@ type Options struct {
 type Result struct {
 	// Schedule is the final iteration-set-to-core schedule.
 	Schedule *sim.Schedule
-	// Map is the final address map (overlay over the default
-	// interleave) with all page relocations applied.
+	// Map is the final address map (an overlay over the config's
+	// address map, sim.AddrMapFor) with all page relocations applied.
 	Map *mem.Overlay
 	// Relocated counts pages moved across all rounds.
 	Relocated int
@@ -76,11 +76,7 @@ func Optimize(p *loop.Program, opts Options) *Result {
 	if opts.MaxRelocations <= 0 {
 		opts.MaxRelocations = 4096
 	}
-	mesh := cfg.Mesh
-	base := mem.NewInterleaved(cfg.PageSize, cfg.L2Line, mesh.NumMCs(), mesh.NumNodes())
-	base.MCGran = cfg.MCGran
-	base.BankGran = cfg.BankGran
-	overlay := mem.NewOverlay(base, cfg.PageSize)
+	overlay := mem.NewOverlay(sim.AddrMapFor(cfg), cfg.PageSize)
 	mapper := core.NewMapper(opts.Mapper)
 	shared := cfg.LLCOrg == cache.SharedSNUCA
 
@@ -239,11 +235,7 @@ func remap(p *loop.Program, cfg sim.Config, amap mem.Map, mapper *core.Mapper, s
 				sa[k].Alpha = 0.5 // static compromise without a miss model
 			}
 		}
-		if shared {
-			sched.Assign = append(sched.Assign, mapper.MapShared(sa))
-		} else {
-			sched.Assign = append(sched.Assign, mapper.MapPrivate(sa))
-		}
+		sched.Assign = append(sched.Assign, mapper.Map(sa, shared))
 	}
 	return sched
 }

@@ -137,6 +137,17 @@ func (m *Mapper) errShared(s *affinity.SetAffinity, r int) float64 {
 	return s.Alpha*ec + (1-s.Alpha)*em
 }
 
+// Map runs the mapping step of the paper's Figure 4 pipeline over the
+// iteration sets of one nest, whichever front half produced their
+// affinities: Algorithm 2 (MapShared) for a shared S-NUCA LLC,
+// Algorithm 1 (MapPrivate) otherwise.
+func (m *Mapper) Map(sets []affinity.SetAffinity, shared bool) *Assignment {
+	if shared {
+		return m.MapShared(sets)
+	}
+	return m.MapPrivate(sets)
+}
+
 // MapPrivate runs Algorithm 1 over the iteration sets of one nest.
 func (m *Mapper) MapPrivate(sets []affinity.SetAffinity) *Assignment {
 	return m.mapWith(sets, m.errPrivate)
@@ -172,12 +183,11 @@ func (m *Mapper) mapWith(sets []affinity.SetAffinity, errFn func(*affinity.SetAf
 			row[r] = errFn(&sets[k], r)
 		}
 	}
-	errAt := func(k, r int) float64 { return errTab[k*nr+r] }
 	// Phase 1: per-set argmin over regions (Algorithm 1 lines 8–14).
 	for k := range sets {
 		best, bi := math.Inf(1), 0
-		for r := 0; r < nr; r++ {
-			if e := errAt(k, r); e < best {
+		for r, e := range errTab[k*nr : (k+1)*nr] {
+			if e < best {
 				best, bi = e, r
 			}
 		}
@@ -185,10 +195,10 @@ func (m *Mapper) mapWith(sets []affinity.SetAffinity, errFn func(*affinity.SetAf
 	}
 	// Phase 2: location-aware load balancing (lines 15–24).
 	if !m.cfg.DisableBalance {
-		a.Moved = m.balance(len(sets), a.Region, errAt)
+		a.Moved = m.balance(a.Region, errTab)
 	}
-	for k := range sets {
-		a.TotalError += errAt(k, int(a.Region[k]))
+	for k, r := range a.Region {
+		a.TotalError += errTab[k*nr+int(r)]
 	}
 	// Phase 3: within-region fine-granularity core assignment (§3.9).
 	m.assignCores(a)
@@ -198,9 +208,11 @@ func (m *Mapper) mapWith(sets []affinity.SetAffinity, errFn func(*affinity.SetAf
 // balance transfers surplus iteration sets from over-loaded (donor)
 // regions to under-loaded (receiver) regions, preferring close-by
 // donor/receiver pairs, until every region is within one set of the
-// average. Returns the number of sets moved.
-func (m *Mapper) balance(numSets int, region []topology.RegionID, errAt func(k, r int) float64) int {
+// average. errTab holds each set's error per region, row-major by
+// set. Returns the number of sets moved.
+func (m *Mapper) balance(region []topology.RegionID, errTab []float64) int {
 	nr := m.cfg.Mesh.NumRegions()
+	numSets := len(region)
 	counts := make([]int, nr)
 	byRegion := make([][]int, nr) // set ids per region
 	for k, r := range region {
@@ -253,7 +265,7 @@ func (m *Mapper) balance(numSets int, region []topology.RegionID, errAt func(k, 
 			// location-friendly as possible.
 			bestIdx, bestDelta := -1, math.Inf(1)
 			for idx, k := range byRegion[p.donor] {
-				delta := errAt(k, p.recv) - errAt(k, p.donor)
+				delta := errTab[k*nr+p.recv] - errTab[k*nr+p.donor]
 				if delta < bestDelta {
 					bestDelta, bestIdx = delta, idx
 				}

@@ -290,8 +290,8 @@ func (e *Estimator) buildDistances() {
 }
 
 // FromResult predicts the execution of a finished compilation.
-// Irregular nests must have their index arrays bound (the caller runs
-// lang.GenerateIndexData, exactly as the simulation path does) or
+// Irregular nests must have their index arrays bound (compile with
+// compiler.CompileBound, exactly as the simulation path does) or
 // their streams degenerate to a single address.
 func (e *Estimator) FromResult(res *compiler.Result) *Plan {
 	return e.plan(res, nil)
@@ -333,14 +333,6 @@ func (e *Estimator) FromAffinities(res *compiler.Result, affs [][]affinity.SetAf
 	return e.plan(res, affs)
 }
 
-// mapNest runs the mapper appropriate to the LLC organization.
-func (e *Estimator) mapNest(affs []affinity.SetAffinity) *core.Assignment {
-	if e.shared {
-		return e.mapper.MapShared(affs)
-	}
-	return e.mapper.MapPrivate(affs)
-}
-
 // plan is the shared prediction walk. With pre == nil it mirrors the
 // compilation (compiled affinities and assignments, sketching irregular
 // nests); with pre-extracted affinities it remaps every nest.
@@ -372,10 +364,10 @@ func (e *Estimator) plan(res *compiler.Result, pre [][]affinity.SetAffinity) *Pl
 		switch {
 		case pre != nil:
 			affs = pre[i]
-			assign = e.mapNest(affs)
+			assign = e.mapper.Map(affs, e.shared)
 		case np.NeedsInspector:
 			affs = e.sketchNest(np.Nest, sketch)
-			assign = e.mapNest(affs)
+			assign = e.mapper.Map(affs, e.shared)
 		default:
 			affs = np.Affinities
 			assign = np.Assignment

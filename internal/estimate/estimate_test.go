@@ -7,7 +7,6 @@ import (
 
 	"locmap/internal/cache"
 	"locmap/internal/compiler"
-	"locmap/internal/lang"
 	"locmap/internal/sim"
 	"locmap/internal/topology"
 )
@@ -40,13 +39,9 @@ parallel for i = 0..N work 8 {
 // validate.
 func compile(t *testing.T, src string, opts compiler.Options) *compiler.Result {
 	t.Helper()
-	res, err := compiler.CompileSource(src, opts)
+	res, err := compiler.CompileBound(src, opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
-	}
-	lang.GenerateIndexData(res.Program, 1, 64)
-	if err := res.Program.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
 	}
 	return res
 }

@@ -13,7 +13,7 @@ import (
 
 	"locmap/internal/affinity"
 	"locmap/internal/cache"
-	"locmap/internal/cme"
+	"locmap/internal/compiler"
 	"locmap/internal/core"
 	"locmap/internal/inspector"
 	"locmap/internal/loop"
@@ -180,44 +180,18 @@ func (m AppMetrics) MixRed(i int) float64 {
 	return stats.PctReduction(float64(m.MixDef[i]), float64(m.MixLA[i]))
 }
 
-func newEstimator(p *loop.Program, sys *sim.System, oracleAcc bool) *cme.Estimator {
-	cfg := sys.Config()
-	acc := cme.AccuracyFor(p.Name)
-	if oracleAcc {
-		acc = 1
-	}
-	return cme.New(cme.Config{
-		Mesh:        cfg.Mesh,
-		Org:         cfg.LLCOrg,
-		AMap:        sys.AddrMap(),
-		L1Line:      cfg.L1Line,
-		ModelBytes:  cfg.L2PerCore,
-		ModelLine:   cfg.L2Line,
-		ModelWays:   cfg.L2Ways,
-		IterSetFrac: cfg.IterSetFrac,
-		Accuracy:    acc,
-		Seed:        1,
-	})
-}
-
-// scheduleFromAffinities maps every nest's affinities with Algorithm 1/2.
-func scheduleFromAffinities(p *loop.Program, mapper *core.Mapper, shared bool, perNest [][]affinity.SetAffinity) (*sim.Schedule, float64) {
-	sched := &sim.Schedule{Assign: make([]*core.Assignment, len(p.Nests))}
+// fracMoved is Table 3's last column for a mapped schedule: the sets
+// load balancing moved as a fraction of all sets, over every nest.
+func fracMoved(sched *sim.Schedule) float64 {
 	var moved, total float64
-	for i := range p.Nests {
-		if shared {
-			sched.Assign[i] = mapper.MapShared(perNest[i])
-		} else {
-			sched.Assign[i] = mapper.MapPrivate(perNest[i])
-		}
-		moved += float64(sched.Assign[i].Moved)
-		total += float64(len(perNest[i]))
+	for _, a := range sched.Assign {
+		moved += float64(a.Moved)
+		total += float64(len(a.Region))
 	}
-	frac := 0.0
-	if total > 0 {
-		frac = moved / total
+	if total == 0 {
+		return 0
 	}
-	return sched, frac
+	return moved / total
 }
 
 // affinityError compares estimated per-set affinities with the observed
@@ -294,10 +268,19 @@ func RunAppTraffic(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 	var est [][]affinity.SetAffinity
 	var sched *sim.Schedule
 	if compiled {
-		// Compile-time path: CME-estimated affinities, known before
-		// the baseline runs; the schedule gets a machine of its own.
-		est = newEstimator(p, sys, false).EstimateProgram(p)
-		sched, m.FracMoved = scheduleFromAffinities(p, mapper, shared, est)
+		// Compile-time path: the compiler's CME affinities and
+		// schedule, known before the baseline runs; the schedule gets
+		// a machine of its own.
+		res, err := compiler.CompileProgram(p, compiler.Options{Cfg: v.Cfg, Mapper: mcfg})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: compile %s: %v", p.Name, err))
+		}
+		sched = res.Schedule
+		m.FracMoved = fracMoved(sched)
+		est = make([][]affinity.SetAffinity, len(res.Plans))
+		for i := range res.Plans {
+			est[i] = res.Plans[i].Affinities
+		}
 		la = sim.New(v.Cfg)
 	}
 
@@ -352,12 +335,8 @@ func RunAppTraffic(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 		// iteration 0 observed (the compiler knowing the truth); every
 		// timing iteration then runs under the optimized schedule, with
 		// zero overhead.
-		obs := make([][]affinity.SetAffinity, len(p.Nests))
-		for i, n := range p.Nests {
-			obs[i] = inspector.AffinitiesFromObs(defRes[0].NestObs[i], sys.Sets(n), shared)
-		}
-		oracle, frac := scheduleFromAffinities(p, mapper, shared, obs)
-		m.FracMoved = frac
+		oracle, obs := inspector.MapObserved(sys, p, defRes[0], mapper)
+		m.FracMoved = fracMoved(oracle)
 		sys.Reset()
 		m.setLocAware(obs, sys.RunTiming(p, func(int) *sim.Schedule { return oracle }), p, sys, shared)
 	}

@@ -345,8 +345,7 @@ func Fig13(o Options) *stats.Table {
 			// built here, at declaration time; both DO jobs share the
 			// object, so they key to the same AddrMap identity.
 			p := workloads.MustNew(name, o.scale())
-			base := mem.NewInterleaved(cfg.PageSize, cfg.L2Line, cfg.Mesh.NumMCs(), cfg.Mesh.NumNodes())
-			doMap := baselines.BuildDO(p, cfg.Mesh, base, cfg.PageSize, cfg.IterSetFrac)
+			doMap := baselines.BuildDO(p, cfg.Mesh, sim.AddrMapFor(cfg), cfg.PageSize, cfg.IterSetFrac)
 			doCfg := cfg
 			doCfg.AddrMap = doMap
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"locmap/internal/affinity"
 	"locmap/internal/cache"
 	"locmap/internal/core"
 	"locmap/internal/inspector"
@@ -32,12 +31,7 @@ func knlExec(p *loop.Program, mode knl.Mode) (def, opt int64) {
 	base := inspector.RunBaseline(sys, p)
 
 	// Profile → affinities → Algorithm 2 schedule.
-	est := make([][]affinity.SetAffinity, len(p.Nests))
-	for i, n := range p.Nests {
-		est[i] = inspector.AffinitiesFromObs(base[0].NestObs[i], sys.Sets(n), true)
-	}
-	mapper := core.NewMapper(core.Config{Mesh: cfg.Mesh})
-	sched, _ := scheduleFromAffinities(p, mapper, true, est)
+	sched, _ := inspector.MapObserved(sys, p, base[0], core.NewMapper(core.Config{Mesh: cfg.Mesh}))
 
 	sys.Reset()
 	return sim.TotalCycles(base), sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched }))

@@ -127,13 +127,7 @@ func runMultiJob(mix []string, scale int, cfg sim.Config) AppMetrics {
 		p := optTasks[i].p
 		for j, n := range p.Nests {
 			sets := n.IterationSets(cfg.IterSetFrac)
-			sa := inspector.AffinitiesFromObs(obs[i][j], sets, shared)
-			var a *core.Assignment
-			if shared {
-				a = mapper.MapShared(sa)
-			} else {
-				a = mapper.MapPrivate(sa)
-			}
+			a := mapper.Map(inspector.AffinitiesFromObs(obs[i][j], sets, shared), shared)
 			optTasks[i].sched.Assign[j] = tenancy.ClampToCores(mesh, a, optTasks[i].cores)
 		}
 	}

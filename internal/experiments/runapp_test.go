@@ -6,6 +6,7 @@ import (
 
 	"locmap/internal/affinity"
 	"locmap/internal/cache"
+	"locmap/internal/cme"
 	"locmap/internal/core"
 	"locmap/internal/inspector"
 	"locmap/internal/knl"
@@ -44,9 +45,21 @@ func runAppSeparate(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 				est[i] = inspector.AffinitiesFromObs(first.NestObs[i], prof.Sets(n), shared)
 			}
 		} else {
-			est = newEstimator(p, sys, false).EstimateProgram(p)
+			cfg := v.Cfg
+			est = cme.New(cme.Config{
+				Mesh:        cfg.Mesh,
+				Org:         cfg.LLCOrg,
+				AMap:        sys.AddrMap(),
+				L1Line:      cfg.L1Line,
+				ModelBytes:  cfg.L2PerCore,
+				ModelLine:   cfg.L2Line,
+				ModelWays:   cfg.L2Ways,
+				IterSetFrac: cfg.IterSetFrac,
+				Accuracy:    cme.AccuracyFor(p.Name),
+				Seed:        1,
+			}).EstimateProgram(p)
 		}
-		sched, frac := scheduleFromAffinities(p, mapper, shared, est)
+		sched, frac := mapNests(mapper, shared, est)
 		m.FracMoved = frac
 		res := sys.RunTiming(p, func(int) *sim.Schedule { return sched })
 		m.LACycles = sim.TotalCycles(res)
@@ -66,6 +79,27 @@ func runAppSeparate(p *loop.Program, v Variant) (AppMetrics, Traffic) {
 		m.MAIErr, m.CAIErr = affinityError(r.PerNest, r.Results[len(r.Results)-1], p, sys, shared)
 	}
 	return m, Traffic{Default: sysD.NodeTraffic(), LocAware: sys.NodeTraffic()}
+}
+
+// mapNests is the references' mapping step: Algorithm 2 or 1 over
+// every nest's affinities, with the fraction of sets load balancing
+// moved over the whole program.
+func mapNests(mapper *core.Mapper, shared bool, perNest [][]affinity.SetAffinity) (*sim.Schedule, float64) {
+	sched := &sim.Schedule{Assign: make([]*core.Assignment, len(perNest))}
+	var moved, total float64
+	for i, sa := range perNest {
+		if shared {
+			sched.Assign[i] = mapper.MapShared(sa)
+		} else {
+			sched.Assign[i] = mapper.MapPrivate(sa)
+		}
+		moved += float64(sched.Assign[i].Moved)
+		total += float64(len(sa))
+	}
+	if total == 0 {
+		return sched, 0
+	}
+	return sched, moved / total
 }
 
 // smallMoldyn is moldyn cut to its first four force phases and first
@@ -172,7 +206,7 @@ func knlSeparate(prog func() *loop.Program, mode knl.Mode) (def, opt int64) {
 	for i, n := range p.Nests {
 		est[i] = inspector.AffinitiesFromObs(first.NestObs[i], sys.Sets(n), true)
 	}
-	sched, _ := scheduleFromAffinities(p, core.NewMapper(core.Config{Mesh: cfg.Mesh}), true, est)
+	sched, _ := mapNests(core.NewMapper(core.Config{Mesh: cfg.Mesh}), true, est)
 	sys.Reset()
 	opt = sim.TotalCycles(sys.RunTiming(p, func(int) *sim.Schedule { return sched }))
 	return def, opt

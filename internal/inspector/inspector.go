@@ -83,43 +83,45 @@ func (r *Result) TotalCycles() int64 {
 // NetLatency returns total network latency across timing iterations.
 func (r *Result) NetLatency() uint64 { return sim.TotalNetLatency(r.Results) }
 
+// MapObserved is the run-time front half of the Figure 4 pipeline: for
+// each nest in order it turns one profiled iteration's per-set
+// observations (first, a run of p on sys) into affinities with
+// AffinitiesFromObs and maps them with Algorithm 1/2 for sys's LLC
+// organization. It returns the schedule and the per-nest affinities.
+func MapObserved(sys *sim.System, p *loop.Program, first sim.ProgramResult, mapper *core.Mapper) (*sim.Schedule, [][]affinity.SetAffinity) {
+	shared := sys.Config().LLCOrg == cache.SharedSNUCA
+	sched := &sim.Schedule{Assign: make([]*core.Assignment, len(p.Nests))}
+	affs := make([][]affinity.SetAffinity, len(p.Nests))
+	for i, n := range p.Nests {
+		affs[i] = AffinitiesFromObs(first.NestObs[i], sys.Sets(n), shared)
+		sched.Assign[i] = mapper.Map(affs[i], shared)
+	}
+	return sched, affs
+}
+
 // Run executes program p on sys under the inspector–executor paradigm:
 // timing iteration 0 uses the default schedule and is profiled; the
 // derived location-aware schedule drives iterations 1..TimingIters-1.
 // mapper performs the Algorithm 1/2 assignment; ov prices the overhead.
 func Run(sys *sim.System, p *loop.Program, mapper *core.Mapper, ov OverheadModel) *Result {
-	shared := sys.Config().LLCOrg == cache.SharedSNUCA
-	def := sys.DefaultScheduleFor(p)
-
-	res := &Result{}
-	first := sys.RunProgram(p, def)
-	res.Results = append(res.Results, first)
+	first := sys.RunProgram(p, sys.DefaultScheduleFor(p))
+	res := &Result{Results: []sim.ProgramResult{first}}
 
 	// Inspector: build affinities and the optimized schedule from the
 	// first iteration's observations, charging instrumentation costs.
+	res.Optimized, res.PerNest = MapObserved(sys, p, first, mapper)
 	var instr, mapping float64
-	opt := &sim.Schedule{Assign: make([]*core.Assignment, len(p.Nests))}
-	res.PerNest = make([][]affinity.SetAffinity, len(p.Nests))
-	for i, n := range p.Nests {
-		sets := sys.Sets(n)
-		sa := AffinitiesFromObs(first.NestObs[i], sets, shared)
-		res.PerNest[i] = sa
+	for i, sa := range res.PerNest {
 		for k := range sa {
 			instr += first.NestObs[i][k].LLCAccesses * ov.PerAccess
 		}
 		mapping += float64(len(sa)*sys.Mesh().NumRegions()) * ov.PerSetPerRegion
-		if shared {
-			opt.Assign[i] = mapper.MapShared(sa)
-		} else {
-			opt.Assign[i] = mapper.MapPrivate(sa)
-		}
 	}
 	// Both instrumentation (inside the parallel inspector iteration) and
 	// the η evaluations of the mapping step (independent per nest, done
 	// on the worker threads between inspector and executor) parallelize
 	// across the cores, so wall-clock overhead is the per-core share.
 	res.OverheadCycles = int64((instr + mapping) / float64(sys.Mesh().NumNodes()))
-	res.Optimized = opt
 
 	// Executor: remaining timing iterations under the optimized map.
 	iters := p.TimingIters
@@ -127,7 +129,7 @@ func Run(sys *sim.System, p *loop.Program, mapper *core.Mapper, ov OverheadModel
 		iters = 1
 	}
 	for it := 1; it < iters; it++ {
-		res.Results = append(res.Results, sys.RunProgram(p, opt))
+		res.Results = append(res.Results, sys.RunProgram(p, res.Optimized))
 	}
 	return res
 }

@@ -16,7 +16,8 @@
 //     spirit of the Core_Placement RL environment (SNIPPETS.md §2):
 //     move one controller to a free site (or swap two controller ids,
 //     which re-partitions the address space), score, and accept uphill
-//     moves with geometrically cooling probability.
+//     moves with geometrically cooling probability (internal/anneal,
+//     the kernel co-placement also runs).
 //
 // Every candidate is scored through the analytical estimate tier
 // (internal/estimate): one compile and one affinity extraction are
@@ -33,11 +34,11 @@ package placeopt
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"locmap/internal/affinity"
+	"locmap/internal/anneal"
 	"locmap/internal/compiler"
 	"locmap/internal/core"
 	"locmap/internal/estimate"
@@ -45,7 +46,7 @@ import (
 	"locmap/internal/topology"
 )
 
-// Defaults and tuning constants of the annealing schedule.
+// Defaults, bounds and tuning constants of the search.
 const (
 	DefaultCandidates = 400
 	DefaultTopK       = 3
@@ -55,12 +56,6 @@ const (
 	// progressEvery is how many evaluations pass between Progress
 	// callbacks.
 	progressEvery = 32
-
-	// tempFrac sets the initial annealing temperature as a fraction of
-	// the default placement's predicted cost; coolRatio is the total
-	// geometric decay over the candidate budget.
-	tempFrac  = 0.05
-	coolRatio = 1e-3
 
 	// swapProb is the probability a mutation swaps two controller ids
 	// (re-partitioning the page interleave) instead of moving one
@@ -178,8 +173,8 @@ type Result struct {
 }
 
 // Search runs the placement search over a finished compilation.
-// Irregular nests must have index data bound (lang.GenerateIndexData),
-// exactly as on the estimate serving path.
+// Irregular nests must have index data bound (compile with
+// compiler.CompileBound), exactly as on the estimate serving path.
 func Search(cfg Config, res *compiler.Result) (*Result, error) {
 	mesh := cfg.Target.Mesh
 	if mesh == nil {
@@ -348,28 +343,22 @@ func (s *searcher) seedGreedy() {
 	}
 }
 
-// anneal refines the incumbent with a simulated-annealing
-// mutate/evaluate loop until the candidate budget is spent.
+// anneal refines the incumbent with the shared annealing kernel, one
+// mutate/evaluate step per remaining candidate; the temperature scales
+// with the default placement's predicted cost.
 func (s *searcher) anneal(defCost int64) {
-	if !s.budgetLeft() {
-		return
-	}
 	cur := append([]topology.Coord(nil), s.best...)
-	curCost := s.bestCost
-	temp := tempFrac * float64(defCost)
-	if temp <= 0 {
-		temp = 1
-	}
-	steps := s.cfg.Candidates - s.evaluated
-	cool := math.Pow(coolRatio, 1/float64(steps))
-	for s.budgetLeft() {
-		next := s.mutate(cur)
-		c := s.eval(next)
-		if c <= curCost || s.rng.Float64() < math.Exp(-float64(c-curCost)/temp) {
-			cur, curCost = next, c
-		}
-		temp *= cool
-	}
+	var next []topology.Coord
+	anneal.Run(s.rng, s.cfg.Candidates-s.evaluated, float64(defCost), float64(s.bestCost),
+		func() float64 {
+			next = s.mutate(cur)
+			return float64(s.eval(next))
+		},
+		func(ok bool) {
+			if ok {
+				cur = next
+			}
+		})
 }
 
 // mutate returns a fresh neighbor of cur: usually one controller moved

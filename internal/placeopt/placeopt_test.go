@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"locmap/internal/compiler"
-	"locmap/internal/lang"
 	"locmap/internal/sim"
 	"locmap/internal/topology"
 )
@@ -31,11 +30,10 @@ parallel for i = 0..N work 8 {
 
 func compileMix(tb testing.TB, cfg sim.Config) *compiler.Result {
 	tb.Helper()
-	res, err := compiler.CompileSource(mixSrc, compiler.Options{Cfg: cfg})
+	res, err := compiler.CompileBound(mixSrc, compiler.Options{Cfg: cfg})
 	if err != nil {
 		tb.Fatalf("compile: %v", err)
 	}
-	lang.GenerateIndexData(res.Program, 1, 64)
 	return res
 }
 

@@ -246,10 +246,7 @@ func BuildTargetPlacement(mesh, regions, llc string, mcs, banks [][2]int) (sim.C
 			seen[c] = true
 			nodes[i] = int(cfg.Mesh.NodeAt(topology.Coord{X: c[0], Y: c[1]}))
 		}
-		im := mem.NewInterleaved(cfg.PageSize, cfg.L2Line, cfg.Mesh.NumMCs(), cfg.Mesh.NumNodes())
-		im.MCGran = cfg.MCGran
-		im.BankGran = cfg.BankGran
-		cfg.AddrMap = mem.NewBankSubset(im, nodes, cfg.Mesh.NumNodes())
+		cfg.AddrMap = mem.NewBankSubset(sim.AddrMapFor(cfg), nodes, cfg.Mesh.NumNodes())
 	}
 	return cfg, nil
 }

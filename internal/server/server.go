@@ -73,7 +73,6 @@ import (
 	"locmap/internal/core"
 	"locmap/internal/inspector"
 	"locmap/internal/jobqueue"
-	"locmap/internal/lang"
 	"locmap/internal/metrics"
 	"locmap/internal/plancache"
 	"locmap/internal/sim"
@@ -801,20 +800,16 @@ func compilePlan(req *MapRequest) (*Plan, error) {
 }
 
 // compileBound is the step every estimating or simulating pipeline
-// starts with: resolve the target, compile the source, bind demo
-// inputs to unbound index arrays, and validate the bound program.
-// compilePlan (static /v1/map) binds nothing and does not use it.
+// starts with: resolve the target, then compiler.CompileBound (compile,
+// bind demo inputs to unbound index arrays, validate). compilePlan
+// (static /v1/map) binds nothing and does not use it.
 func (r *CommonRequest) compileBound() (sim.Config, compiler.Options, *compiler.Result, error) {
 	cfg, opts, err := r.options()
 	if err != nil {
 		return sim.Config{}, compiler.Options{}, nil, err
 	}
-	res, err := compiler.CompileSource(r.Source, opts)
+	res, err := compiler.CompileBound(r.Source, opts)
 	if err != nil {
-		return sim.Config{}, compiler.Options{}, nil, err
-	}
-	lang.GenerateIndexData(res.Program, 1, 64)
-	if err := res.Program.Validate(); err != nil {
 		return sim.Config{}, compiler.Options{}, nil, err
 	}
 	return cfg, opts, res, nil

@@ -490,7 +490,7 @@ func (s *Server) runRemap(jobID string, rr *remapRequest) ([]byte, error) {
 		PredictedCycles: v.SimCycles,
 	}
 	progress("coplace", nil)
-	placed := s.groupPlacement(sess, &mr, &plan)
+	placed := s.groupPlacement(sess, &plan)
 	payload, err := json.Marshal(er)
 	if err != nil {
 		return nil, err
@@ -530,14 +530,40 @@ type placedTenant struct {
 // session's tenant group, fills plan.Cores/Interference for the
 // remapping session, and returns the co-tenants' new partitions for
 // the caller to apply. Sole tenants keep the whole mesh.
-func (s *Server) groupPlacement(sess *tenancy.Session, mr *MapRequest, plan *tenancy.Plan) []placedTenant {
+func (s *Server) groupPlacement(sess *tenancy.Session, plan *tenancy.Plan) []placedTenant {
 	group := s.tenants.Group(sess.GroupKey)
 	if len(group) < 2 {
 		return nil
 	}
+	cores, interference := s.coPlaceGroup(sess.GroupKey, group)
+	if cores == nil {
+		return nil
+	}
+	var others []placedTenant
+	for i, g := range group {
+		if g.ID == sess.ID {
+			plan.Cores = cores[i]
+			plan.Interference = interference
+			continue
+		}
+		others = append(others, placedTenant{g, cores[i], interference})
+	}
+	return others
+}
+
+// coPlaceGroup co-places a tenant group of two or more sessions and
+// returns each member's cores, in group order, and the partition's
+// interference; nil cores when it cannot. Every member resolves to
+// the same machine (groupKeyFor), so the first member's request
+// supplies the mesh.
+func (s *Server) coPlaceGroup(groupKey string, group []*tenancy.Session) ([][]int, float64) {
+	var mr MapRequest
+	if err := json.Unmarshal(group[0].Request, &mr); err != nil {
+		return nil, 0
+	}
 	cfg, _, err := mr.options()
 	if err != nil {
-		return nil
+		return nil, 0
 	}
 	tenants := make([]tenancy.Tenant, 0, len(group))
 	for _, g := range group {
@@ -545,23 +571,17 @@ func (s *Server) groupPlacement(sess *tenancy.Session, mr *MapRequest, plan *ten
 	}
 	pl, err := tenancy.CoPlace(tenancy.CoPlaceConfig{Mesh: cfg.Mesh, Seed: 1}, tenants)
 	if err != nil {
-		s.log.Warn("co-placement failed", "group", sess.GroupKey, "err", err)
-		return nil
+		s.log.Warn("co-placement failed", "group", groupKey, "err", err)
+		return nil, 0
 	}
-	var others []placedTenant
-	for i, g := range group {
-		cores := make([]int, len(pl.Tenants[i].Cores))
-		for k, c := range pl.Tenants[i].Cores {
-			cores[k] = int(c)
+	cores := make([][]int, len(group))
+	for i, tp := range pl.Tenants {
+		cores[i] = make([]int, len(tp.Cores))
+		for k, c := range tp.Cores {
+			cores[i][k] = int(c)
 		}
-		if g.ID == sess.ID {
-			plan.Cores = cores
-			plan.Interference = pl.Score.Interference
-			continue
-		}
-		others = append(others, placedTenant{g, cores, pl.Score.Interference})
 	}
-	return others
+	return cores, pl.Score.Interference
 }
 
 // applyRebalance installs new cores on a co-tenant as a rebalance
@@ -599,29 +619,12 @@ func (s *Server) rebalanceGroup(groupKey string) {
 		}
 		return
 	}
-	var mr MapRequest
-	if err := json.Unmarshal(group[0].Request, &mr); err != nil {
-		return
-	}
-	cfg, _, err := mr.options()
-	if err != nil {
-		return
-	}
-	tenants := make([]tenancy.Tenant, 0, len(group))
-	for _, g := range group {
-		tenants = append(tenants, tenancy.Tenant{ID: g.ID, Affs: g.Affinities()})
-	}
-	pl, err := tenancy.CoPlace(tenancy.CoPlaceConfig{Mesh: cfg.Mesh, Seed: 1}, tenants)
-	if err != nil {
-		s.log.Warn("co-placement failed", "group", groupKey, "err", err)
+	cores, interference := s.coPlaceGroup(groupKey, group)
+	if cores == nil {
 		return
 	}
 	for i, g := range group {
-		cores := make([]int, len(pl.Tenants[i].Cores))
-		for k, c := range pl.Tenants[i].Cores {
-			cores[k] = int(c)
-		}
-		s.applyRebalance(g, cores, pl.Score.Interference)
+		s.applyRebalance(g, cores[i], interference)
 	}
 }
 

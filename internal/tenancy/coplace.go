@@ -2,11 +2,11 @@ package tenancy
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"locmap/internal/affinity"
+	"locmap/internal/anneal"
 	"locmap/internal/core"
 	"locmap/internal/topology"
 )
@@ -19,10 +19,10 @@ import (
 // tenant's. Co-placement instead treats the partition itself as the
 // search space: a greedy seed places each tenant's cores near the
 // memory controllers its affinity vectors point at, and a simulated
-// annealing pass (the internal/placeopt move machinery, with swaps
-// between tenants as the mutation) refines the partition against an
-// objective with an explicit cross-tenant interference term over the
-// shared NoC links and memory controllers — the CODA-style
+// annealing pass (internal/anneal, the kernel internal/placeopt also
+// runs, with swaps between tenants as the move) refines the partition
+// against an objective with an explicit cross-tenant interference term
+// over the shared NoC links and memory controllers — the CODA-style
 // co-location objective (PAPERS.md).
 //
 // The objective is analytical and deliberately cheap (no simulation):
@@ -41,12 +41,6 @@ import (
 const (
 	DefaultCoPlaceRounds = 512
 	MaxCoPlaceRounds     = 20000
-
-	// coplaceTempFrac / coplaceCoolRatio mirror placeopt's annealing
-	// schedule: initial temperature as a fraction of the seed cost,
-	// total geometric decay over the round budget.
-	coplaceTempFrac  = 0.05
-	coplaceCoolRatio = 1e-3
 )
 
 // Tenant is one session's workload in a shared-mesh group.
@@ -223,40 +217,39 @@ func CoPlace(cfg CoPlaceConfig, tenants []Tenant) (*Placement, error) {
 		best, bestScore = clonePartition(strided), baseline
 	}
 
-	// Annealing refinement: swap one core between two tenants, accept
-	// uphill moves with geometrically cooling probability (the
-	// placeopt schedule).
+	// Annealing refinement through the shared kernel: swap one core
+	// between two tenants, and swap it back when the kernel rejects
+	// the step. A sole tenant has no one to swap with.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cur := clonePartition(best)
-	curScore := bestScore
-	temp := coplaceTempFrac * bestScore.Cost
-	if temp <= 0 {
-		temp = 1
+	steps := cfg.Rounds
+	if n < 2 {
+		steps = 0
 	}
-	cool := math.Pow(coplaceCoolRatio, 1/float64(cfg.Rounds))
-	if n > 1 {
-		for r := 0; r < cfg.Rounds; r++ {
-			ti := rng.Intn(n)
-			tj := rng.Intn(n - 1)
+	var ti, tj, ci, cj int
+	var s Score
+	anneal.Run(rng, steps, bestScore.Cost, bestScore.Cost,
+		func() float64 {
+			ti = rng.Intn(n)
+			tj = rng.Intn(n - 1)
 			if tj >= ti {
 				tj++
 			}
-			ci := rng.Intn(len(cur[ti]))
-			cj := rng.Intn(len(cur[tj]))
+			ci = rng.Intn(len(cur[ti]))
+			cj = rng.Intn(len(cur[tj]))
 			cur[ti][ci], cur[tj][cj] = cur[tj][cj], cur[ti][ci]
-			s := sc.score(cur)
+			s = sc.score(cur)
 			evaluated++
-			if s.Cost <= curScore.Cost || rng.Float64() < math.Exp(-(s.Cost-curScore.Cost)/temp) {
-				curScore = s
-				if s.Cost < bestScore.Cost {
-					best, bestScore = clonePartition(cur), s
-				}
-			} else {
+			return s.Cost
+		},
+		func(ok bool) {
+			switch {
+			case !ok:
 				cur[ti][ci], cur[tj][cj] = cur[tj][cj], cur[ti][ci] // revert
+			case s.Cost < bestScore.Cost:
+				best, bestScore = clonePartition(cur), s
 			}
-			temp *= cool
-		}
-	}
+		})
 
 	out := &Placement{
 		Score:     bestScore,

@@ -6,12 +6,8 @@ import (
 	"testing"
 
 	"locmap/internal/affinity"
-	"locmap/internal/compiler"
 	"locmap/internal/core"
-	"locmap/internal/estimate"
-	"locmap/internal/sim"
 	"locmap/internal/topology"
-	"locmap/internal/workloads"
 )
 
 // mcTenant builds a synthetic tenant whose misses all target one MC.
@@ -78,21 +74,9 @@ func TestCoPlaceTwoTenantsBeatStrided(t *testing.T) {
 // strictly lower cross-tenant interference than the strided
 // independent partition the study uses.
 func TestCoPlaceBeatsStridedOnMultiprogMix(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	est := estimate.New(estimate.Config{Cfg: cfg})
-	mix := []string{"moldyn", "swim", "hpccg", "fft"}
-	var tenants []Tenant
-	for _, name := range mix {
-		p := workloads.MustNew(name, 1)
-		res, err := compiler.CompileProgram(p, compiler.Options{Cfg: cfg})
-		if err != nil {
-			t.Fatalf("compile %s: %v", name, err)
-		}
-		tenants = append(tenants, Tenant{ID: name, Affs: est.Affinities(res)})
-	}
-
+	mesh, tenants := multiprogTenants(t)
 	for _, n := range []int{2, 4} {
-		pl, err := CoPlace(CoPlaceConfig{Mesh: cfg.Mesh, Seed: 1}, tenants[:n])
+		pl, err := CoPlace(CoPlaceConfig{Mesh: mesh, Seed: 1}, tenants[:n])
 		if err != nil {
 			t.Fatalf("%d tenants: %v", n, err)
 		}
