@@ -34,7 +34,8 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # `make bench` runs the simulator micro-benchmarks (RunNest, NoC send,
-# cache access), the RunNest-dominated figure benchmarks, and the
+# cache access), the cache-miss estimator's walk (EstimateNest, the
+# compile-time layer), the RunNest-dominated figure benchmarks, and the
 # fast-tier benchmarks (estimate-tier serve p50/p99 latency and the
 # estimate-vs-simulation alpha error), and merges the numbers into
 # BENCH_sim.json under BENCH_LABEL (default "post"; the checked-in
@@ -61,8 +62,8 @@ BENCHTIME_PLACE ?= 3x
 BENCHTIME_TEN ?= 5x
 bench:
 	@rm -f .bench.out
-	$(GO) test -run '^$$' -bench 'RunNest|NoCSend|CacheAccess|CacheLookup' \
-		-benchtime $(BENCHTIME_MICRO) -benchmem ./internal/sim ./internal/cache | tee -a .bench.out
+	$(GO) test -run '^$$' -bench 'RunNest|NoCSend|CacheAccess|EstimateNest' \
+		-benchtime $(BENCHTIME_MICRO) -benchmem ./internal/sim ./internal/cache ./internal/cme | tee -a .bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFig02IdealNetwork|BenchmarkFig07Private|BenchmarkFig08Shared|BenchmarkMultiprogrammed' \
 		-benchtime $(BENCHTIME_FIG) -benchmem . | tee -a .bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimateTierServe|BenchmarkEstimateAlphaError' \

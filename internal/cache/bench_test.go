@@ -20,17 +20,3 @@ func BenchmarkCacheAccess(b *testing.B) {
 		c.Access(mem.Addr(1<<24 + i*64))
 	}
 }
-
-// BenchmarkCacheLookup measures the statless residence probe used by the
-// cache-miss estimator's oracle mode.
-func BenchmarkCacheLookup(b *testing.B) {
-	c := MustNew(512<<10, 64, 16)
-	for i := 0; i < 16384; i++ {
-		c.Access(mem.Addr(i * 64))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(mem.Addr((i % 32768) * 64))
-	}
-}

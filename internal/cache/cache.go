@@ -171,34 +171,6 @@ func (c *Cache) access(set int, tag uint64) bool {
 	return false
 }
 
-// Lookup reports whether addr is resident without touching LRU state or
-// statistics. The cache-miss estimator's oracle mode uses it.
-func (c *Cache) Lookup(addr mem.Addr) bool {
-	set, tag := c.split(addr)
-	base := set * c.ways
-	for _, t := range c.tags[base : base+int(c.occ[set])] {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate removes addr's line if resident, reporting whether it was.
-func (c *Cache) Invalidate(addr mem.Addr) bool {
-	set, tag := c.split(addr)
-	base := set * c.ways
-	ts := c.tags[base : base+int(c.occ[set])]
-	for i, t := range ts {
-		if t == tag {
-			copy(ts[i:], ts[i+1:])
-			c.occ[set]--
-			return true
-		}
-	}
-	return false
-}
-
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	for i := range c.occ {

@@ -14,9 +14,21 @@
 // with probability 1−Accuracy by a deterministic per-access hash, so the
 // downstream MAI/CAI error studies (Figures 7a and 8a) measure a
 // realistically imperfect estimator.
+//
+// The walk is the cost of every uncached compile, so it is built for
+// speed without changing a single classification. Addresses come from
+// the simulator's loop.Stepper, one add per reference per iteration. The
+// capacity model (type model) is an LRU cache with cache.Cache's exact
+// hit/miss sequence but O(1) misses, which dominate the stream: LRU sets
+// kept as rings and a residency bitmap over line numbers, capped at
+// maxResidentLines. The misclassification draw compares integers, and a
+// shared LLC's hit reads its bank's region from a table.
 package cme
 
 import (
+	"math"
+	"math/bits"
+
 	"locmap/internal/affinity"
 	"locmap/internal/cache"
 	"locmap/internal/loop"
@@ -58,8 +70,20 @@ type Config struct {
 // data cached by one nest serves the next.
 type Estimator struct {
 	cfg   Config
-	model *cache.Cache
+	model *model
 	ctr   uint64
+
+	// keep is the misclassification threshold: a draw Mix64(..)>>11
+	// below it keeps the classification. 0 means no noise (Accuracy ≥ 1).
+	keep uint64
+
+	// l1Shift replaces the L1-line division when L1Line is a power of
+	// two.
+	l1Shift uint
+	l1Pow2  bool
+
+	// bankRegion[b] is the region of bank b's node (shared LLC only).
+	bankRegion []int
 }
 
 // New builds an estimator. ModelWays/ModelLine default to 16/64 when zero.
@@ -76,10 +100,27 @@ func New(cfg Config) *Estimator {
 	if cfg.Accuracy <= 0 {
 		cfg.Accuracy = 1
 	}
-	return &Estimator{
+	e := &Estimator{
 		cfg:   cfg,
-		model: cache.MustNew(cfg.ModelBytes, cfg.ModelLine, cfg.ModelWays),
+		model: newModel(cfg.ModelBytes, cfg.ModelLine, cfg.ModelWays),
 	}
+	if cfg.Accuracy < 1 {
+		// A draw x = h>>11 is below 2^53, so float64(x)/2^53 is exact
+		// and the float test x/2^53 ≥ Accuracy is x ≥ Accuracy·2^53
+		// (an exact scaling), which for an integer x is x ≥ ceil(...).
+		e.keep = uint64(math.Ceil(cfg.Accuracy * (1 << 53)))
+	}
+	if isPow2(cfg.L1Line) {
+		e.l1Pow2 = true
+		e.l1Shift = uint(bits.TrailingZeros64(uint64(cfg.L1Line)))
+	}
+	if cfg.Org == cache.SharedSNUCA {
+		e.bankRegion = make([]int, cfg.Mesh.NumNodes())
+		for b := range e.bankRegion {
+			e.bankRegion[b] = int(cfg.Mesh.RegionOf(topology.NodeID(b)))
+		}
+	}
+	return e
 }
 
 // Mix64 is the deterministic splitmix64 finalizer shared by every
@@ -97,14 +138,11 @@ func Mix64(x uint64) uint64 {
 // noisy flips `hit` with probability 1−Accuracy, deterministically per
 // access.
 func (e *Estimator) noisy(hit bool) bool {
-	if e.cfg.Accuracy >= 1 {
+	if e.keep == 0 {
 		return hit
 	}
 	e.ctr++
-	h := Mix64(e.cfg.Seed ^ e.ctr)
-	// Map to [0,1) with 53-bit precision.
-	u := float64(h>>11) / (1 << 53)
-	if u >= e.cfg.Accuracy {
+	if Mix64(e.cfg.Seed^e.ctr)>>11 >= e.keep {
 		return !hit
 	}
 	return hit
@@ -117,49 +155,67 @@ func (e *Estimator) noisy(hit bool) bool {
 func (e *Estimator) EstimateNest(n *loop.Nest) []affinity.SetAffinity {
 	sets := n.IterationSets(e.cfg.IterSetFrac)
 	out := make([]affinity.SetAffinity, len(sets))
-	nmc := e.cfg.AMap.NumMCs()
-	nreg := e.cfg.Mesh.NumRegions()
+	amap := e.cfg.AMap
 	shared := e.cfg.Org == cache.SharedSNUCA
+	nodes := len(e.bankRegion)
 
-	lastL1 := make([]mem.Addr, len(n.Refs))
-	seen := make([]bool, len(n.Refs))
-	var iv []int64
+	// The regular references, each with its array and the state of the
+	// L1 spatial filter: an access in the same L1 line as the
+	// reference's previous one stays in L1.
+	type regularRef struct {
+		ri     int
+		array  *loop.Array
+		lastL1 mem.Addr
+		seen   bool
+	}
+	var regular []regularRef
+	for r := range n.Refs {
+		if ref := &n.Refs[r]; !ref.Irregular {
+			regular = append(regular, regularRef{ri: r, array: ref.Array})
+			e.model.cover(arrayEnd(ref.Array))
+		}
+	}
 
+	mai := affinity.NewBuilder(amap.NumMCs())
+	var cai *affinity.Builder
+	if shared {
+		cai = affinity.NewBuilder(e.cfg.Mesh.NumRegions())
+	}
+	// Iteration sets tile [0, Iterations()) in order, so one stepper
+	// walks the whole nest.
+	st := n.NewStepPlan().Stepper()
 	for k, set := range sets {
-		mai := affinity.NewBuilder(nmc)
-		var cai *affinity.Builder
+		mai.Reset()
 		if shared {
-			cai = affinity.NewBuilder(nreg)
+			cai.Reset()
 		}
 		var hits, total float64
 		for flat := set.Lo; flat < set.Hi; flat++ {
-			iv = n.Unflatten(iv, flat)
-			for r := range n.Refs {
-				ref := &n.Refs[r]
-				if ref.Irregular {
+			for j := range regular {
+				rr := &regular[j]
+				addr := rr.array.AddrOf(st.Subscript(rr.ri))
+				var l1line mem.Addr
+				if e.l1Pow2 {
+					l1line = addr >> e.l1Shift
+				} else {
+					l1line = addr / mem.Addr(e.cfg.L1Line)
+				}
+				if rr.seen && l1line == rr.lastL1 {
 					continue
 				}
-				addr := ref.Addr(iv, flat)
-				// L1 spatial filter: same line as this ref's
-				// previous access stays in L1.
-				l1line := addr / mem.Addr(e.cfg.L1Line)
-				if seen[r] && l1line == lastL1[r] {
-					continue
-				}
-				seen[r] = true
-				lastL1[r] = l1line
+				rr.seen = true
+				rr.lastL1 = l1line
 				total++
-				hit := e.noisy(e.model.Access(addr))
-				if hit {
+				if e.noisy(e.model.access(uint64(addr))) {
 					hits++
 					if shared {
-						bank := e.cfg.AMap.HomeBank(addr) % e.cfg.Mesh.NumNodes()
-						cai.AddOne(int(e.cfg.Mesh.RegionOf(topology.NodeID(bank))))
+						cai.AddOne(e.bankRegion[amap.HomeBank(addr)%nodes])
 					}
 				} else {
-					mai.AddOne(e.cfg.AMap.MC(addr))
+					mai.AddOne(amap.MC(addr))
 				}
 			}
+			st.Step()
 		}
 		sa := affinity.SetAffinity{
 			MAI:    mai.Vector(),
@@ -174,6 +230,17 @@ func (e *Estimator) EstimateNest(n *loop.Nest) []affinity.SetAffinity {
 	return out
 }
 
+// arrayEnd returns the address just past a's data, saturating where the
+// declared size overflows the address space.
+func arrayEnd(a *loop.Array) uint64 {
+	size := a.SizeBytes()
+	end := uint64(a.Base) + uint64(size)
+	if size < 0 || end < uint64(a.Base) {
+		return math.MaxUint64
+	}
+	return end
+}
+
 // EstimateProgram runs EstimateNest over every nest in program order,
 // keeping the capacity model warm between nests.
 func (e *Estimator) EstimateProgram(p *loop.Program) [][]affinity.SetAffinity {
@@ -186,7 +253,7 @@ func (e *Estimator) EstimateProgram(p *loop.Program) [][]affinity.SetAffinity {
 
 // Reset clears the capacity model (cold estimation).
 func (e *Estimator) Reset() {
-	e.model.Reset()
+	e.model.reset()
 	e.ctr = 0
 }
 

@@ -60,9 +60,11 @@ type Config struct {
 // Mapper holds precomputed per-region affinity vectors.
 //
 // All randomness (the IntraRandom shuffle) comes from a per-instance
-// *rand.Rand seeded with Config.Seed — no package touches the global
-// math/rand state. Two mappers with the same config therefore produce
-// identical assignments, independent of what runs on other goroutines.
+// *rand.Rand rewound to Config.Seed for every nest — no package touches
+// the global math/rand state, and the seed's sequence is computed once
+// per process and only read after (see shuffleSource). Two mappers with
+// the same config therefore produce identical assignments, independent
+// of what runs on other goroutines.
 // The Map* methods mutate that per-instance state, so a single Mapper
 // must not be shared by concurrent goroutines; construction is cheap —
 // create one per goroutine (as locmapd does per request).
@@ -78,7 +80,7 @@ func NewMapper(cfg Config) *Mapper {
 	if cfg.Mesh == nil {
 		panic("core: Config.Mesh is nil")
 	}
-	m := &Mapper{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	m := &Mapper{cfg: cfg, rng: rand.New(&shuffleSource{})}
 	if cfg.FineMAC {
 		m.macs = affinity.MACFineAll(cfg.Mesh)
 	} else {
@@ -258,14 +260,25 @@ func (m *Mapper) balance(region []topology.RegionID, errTab []float64) int {
 	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].dist < pairs[j].dist })
 
 	moved := 0
+	var deltas []float64
 	for _, p := range pairs {
+		if counts[p.donor] <= target[p.donor] || counts[p.recv] >= target[p.recv] {
+			continue
+		}
+		// Each donor set's error increase when re-homed to the
+		// receiver, kept in step with the donor list: a pair's deltas
+		// do not change between its transfers.
+		ids := byRegion[p.donor]
+		deltas = deltas[:0]
+		for _, k := range ids {
+			deltas = append(deltas, errTab[k*nr+p.recv]-errTab[k*nr+p.donor])
+		}
 		for counts[p.donor] > target[p.donor] && counts[p.recv] < target[p.recv] {
-			// Move the donor set whose error increases least when
-			// re-homed to the receiver: the transfer stays as
-			// location-friendly as possible.
+			// Move the donor set whose error increases least (the
+			// first strict minimum in list order): the transfer
+			// stays as location-friendly as possible.
 			bestIdx, bestDelta := -1, math.Inf(1)
-			for idx, k := range byRegion[p.donor] {
-				delta := errTab[k*nr+p.recv] - errTab[k*nr+p.donor]
+			for idx, delta := range deltas {
 				if delta < bestDelta {
 					bestDelta, bestIdx = delta, idx
 				}
@@ -273,16 +286,17 @@ func (m *Mapper) balance(region []topology.RegionID, errTab []float64) int {
 			if bestIdx < 0 {
 				break
 			}
-			k := byRegion[p.donor][bestIdx]
-			last := len(byRegion[p.donor]) - 1
-			byRegion[p.donor][bestIdx] = byRegion[p.donor][last]
-			byRegion[p.donor] = byRegion[p.donor][:last]
+			k := ids[bestIdx]
+			last := len(ids) - 1
+			ids[bestIdx], deltas[bestIdx] = ids[last], deltas[last]
+			ids, deltas = ids[:last], deltas[:last]
 			byRegion[p.recv] = append(byRegion[p.recv], k)
 			region[k] = topology.RegionID(p.recv)
 			counts[p.donor]--
 			counts[p.recv]++
 			moved++
 		}
+		byRegion[p.donor] = ids
 	}
 	return moved
 }
@@ -294,7 +308,7 @@ func (m *Mapper) assignCores(a *Assignment) {
 	for k, r := range a.Region {
 		byRegion[r] = append(byRegion[r], k)
 	}
-	// Re-seed per nest so every mapping drawn from this instance sees
+	// Rewind per nest so every mapping drawn from this instance sees
 	// the same shuffle stream a fresh Mapper would — assignments stay
 	// reproducible per call, not dependent on how many nests were
 	// mapped before.

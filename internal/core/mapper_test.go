@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -358,6 +360,114 @@ func TestMapperRepeatedCallsReproducible(t *testing.T) {
 			if got.Core[k] != want.Core[k] {
 				t.Fatalf("call %d: set %d on core %d, fresh mapper says %d",
 					call, k, got.Core[k], want.Core[k])
+			}
+		}
+	}
+}
+
+// balanceReference is balance as it was before each pair's deltas were
+// computed once: it recomputes every donor set's delta for each
+// transfer. TestBalanceMatchesReference holds the two to the same
+// transfers.
+func (m *Mapper) balanceReference(region []topology.RegionID, errTab []float64) int {
+	nr := m.cfg.Mesh.NumRegions()
+	numSets := len(region)
+	counts := make([]int, nr)
+	byRegion := make([][]int, nr)
+	for k, r := range region {
+		counts[r]++
+		byRegion[r] = append(byRegion[r], k)
+	}
+	base := numSets / nr
+	extra := numSets % nr
+	order := make([]int, nr)
+	for r := range order {
+		order[r] = r
+	}
+	sort.SliceStable(order, func(i, j int) bool { return counts[order[i]] > counts[order[j]] })
+	target := make([]int, nr)
+	for i, r := range order {
+		target[r] = base
+		if i < extra {
+			target[r] = base + 1
+		}
+	}
+	type pair struct {
+		donor, recv int
+		dist        int
+	}
+	var pairs []pair
+	for d := 0; d < nr; d++ {
+		if counts[d] <= target[d] {
+			continue
+		}
+		for r := 0; r < nr; r++ {
+			if counts[r] >= target[r] || r == d {
+				continue
+			}
+			pairs = append(pairs, pair{d, r, m.cfg.Mesh.RegionDistance(topology.RegionID(d), topology.RegionID(r))})
+		}
+	}
+	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].dist < pairs[j].dist })
+	moved := 0
+	for _, p := range pairs {
+		for counts[p.donor] > target[p.donor] && counts[p.recv] < target[p.recv] {
+			bestIdx, bestDelta := -1, math.Inf(1)
+			for idx, k := range byRegion[p.donor] {
+				delta := errTab[k*nr+p.recv] - errTab[k*nr+p.donor]
+				if delta < bestDelta {
+					bestDelta, bestIdx = delta, idx
+				}
+			}
+			if bestIdx < 0 {
+				break
+			}
+			k := byRegion[p.donor][bestIdx]
+			last := len(byRegion[p.donor]) - 1
+			byRegion[p.donor][bestIdx] = byRegion[p.donor][last]
+			byRegion[p.donor] = byRegion[p.donor][:last]
+			byRegion[p.recv] = append(byRegion[p.recv], k)
+			region[k] = topology.RegionID(p.recv)
+			counts[p.donor]--
+			counts[p.recv]++
+			moved++
+		}
+	}
+	return moved
+}
+
+// TestBalanceMatchesReference checks that every transfer moves the set
+// the per-transfer rescan chose, over random error tables drawn from a
+// few values (so deltas tie often, and the swap-removed list order
+// decides) with some NaN and infinite entries, and skewed starting
+// assignments on two region grids.
+func TestBalanceMatchesReference(t *testing.T) {
+	values := []float64{0, 0.25, 0.5, 0.5, 1, 1, math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(5))
+	for _, mesh := range []*topology.Mesh{topology.Default6x6(), topology.MustNew(8, 8, 4, 4, topology.MCCorners)} {
+		m := NewMapper(Config{Mesh: mesh})
+		nr := mesh.NumRegions()
+		for trial := 0; trial < 300; trial++ {
+			numSets := 1 + rng.Intn(400)
+			hot := 1 + rng.Intn(nr)
+			region := make([]topology.RegionID, numSets)
+			for k := range region {
+				region[k] = topology.RegionID(rng.Intn(hot))
+			}
+			errTab := make([]float64, numSets*nr)
+			for i := range errTab {
+				errTab[i] = values[rng.Intn(len(values))]
+			}
+			want := append([]topology.RegionID(nil), region...)
+			wantMoved := m.balanceReference(want, errTab)
+			gotMoved := m.balance(region, errTab)
+			if gotMoved != wantMoved {
+				t.Fatalf("%v trial %d: moved %d sets, reference %d", mesh, trial, gotMoved, wantMoved)
+			}
+			for k := range want {
+				if region[k] != want[k] {
+					t.Fatalf("%v trial %d: set %d to R%d, reference R%d", mesh, trial, k, region[k], want[k])
+				}
 			}
 		}
 	}

@@ -154,3 +154,9 @@ func (st *Stepper) Addr(ri int) mem.Addr {
 	}
 	return r.Array.AddrOf(st.val[ri])
 }
+
+// Subscript returns affine reference ri's subscript at the current
+// position, the element index Addr passes to Array.AddrOf. A caller
+// walking only affine references keeps their arrays at hand, so this
+// inlines to one load.
+func (st *Stepper) Subscript(ri int) int64 { return st.val[ri] }

@@ -38,8 +38,9 @@ func randNest(rng *rand.Rand) *Nest {
 	return n
 }
 
-// TestStepperMatchesUnflatten checks the incremental stepper against the
-// reference Unflatten+Addr path over full walks of random nests.
+// TestStepperMatchesUnflatten checks the incremental stepper's addresses
+// and affine subscripts against the reference Unflatten+Addr path over
+// full walks of random nests.
 func TestStepperMatchesUnflatten(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -58,6 +59,11 @@ func TestStepperMatchesUnflatten(t *testing.T) {
 				if got := st.Addr(ri); got != want {
 					t.Fatalf("trial %d flat %d ref %d: stepper %#x, direct %#x (bounds %v coeffs %v)",
 						trial, flat, ri, got, want, n.Bounds, n.Refs[ri].Index.Coeffs)
+				}
+				if r := &n.Refs[ri]; !r.Irregular {
+					if got, want := st.Subscript(ri), r.Index.Eval(iv); got != want {
+						t.Fatalf("trial %d flat %d ref %d: subscript %d, direct %d", trial, flat, ri, got, want)
+					}
 				}
 			}
 			st.Step()
